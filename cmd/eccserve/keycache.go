@@ -7,7 +7,7 @@ import (
 )
 
 // keyCache maps cache keys to parsed, Precompute()d repro.PublicKey
-// values so repeat verifiers hit the w=10 fixed-window table (~31 KiB
+// values so repeat verifiers hit the w=10 fixed-window table (18 KiB
 // each) instead of rebuilding it per request. It is an LRU with
 // singleflight semantics: concurrent misses on the same key share one
 // build instead of racing N table constructions.

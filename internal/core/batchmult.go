@@ -4,7 +4,6 @@ import (
 	"math/big"
 
 	"repro/internal/ec"
-	"repro/internal/koblitz"
 )
 
 // ScalarMultBatchLD64 computes dst[i] = ks[i]·ps[i] for every i,
@@ -12,15 +11,16 @@ import (
 // LD→affine inversion — the multi-point twin of ScalarMultLD64.
 //
 // The point of the batched form is the table construction: a
-// single-point ladder pays two field inversions building its width-w
-// α table (one normalising the P±τP pair, one normalising the table
-// itself). Here both normalisations run batch-wide — the P±τP pairs
-// of ALL points share one inversion and the α tables of ALL points
-// share another — so a batch of n multiplications performs 2 table
-// inversions total instead of 2n, on top of the final-conversion
-// inversion the caller amortises. The ladders themselves are
-// unchanged (same recoding, same α tables, same Frobenius-and-add
-// loop), so results are bit-identical to ScalarMultLD64.
+// single-point build pays two field inversions for its width-w α
+// table (one normalising the multiples j·P, one shared by the table's
+// additions; see alphaTables). Here both run batch-wide — the
+// multiples of ALL points share one inversion and the additions of
+// ALL tables share another — so a batch of n multiplications performs
+// 2 table inversions total instead of 2n, on top of the
+// final-conversion inversion the caller amortises. The ladders
+// themselves are unchanged (same recoding, same α tables, same
+// Frobenius-and-add loop), so results are bit-identical to
+// ScalarMultLD64.
 //
 // Semantics per element match ScalarMultLD64: ps[i] must lie in the
 // prime-order subgroup; ps[i].Inf or ks[i] = 0 yields infinity. Like
@@ -33,42 +33,16 @@ func (s *Scratch) ScalarMultBatchLD64(dst []ec.LD64, ks []*big.Int, ps []ec.Affi
 	if len(ks) != n || len(dst) != n {
 		panic("core: ScalarMultBatchLD64 length mismatch")
 	}
-	alphaA, alphaB := koblitz.AlphaCoeffs(WRandom)
-	tw := len(alphaA)
 	p64 := Grow(&s.bp, n)
-	tp64 := Grow(&s.btp, n)
-	sd := Grow(&s.bsd, 2*n)
-	sdA := Grow(&s.bsdA, 2*n)
-	for i := 0; i < n; i++ {
-		if ps[i].Inf || ks[i].Sign() == 0 {
+	for i := range ps {
+		p64[i] = ps[i].To64()
+		if ks[i].Sign() == 0 {
 			p64[i] = ec.Affine64{Inf: true}
-			sd[2*i] = ec.LD64Infinity
-			sd[2*i+1] = ec.LD64Infinity
-			continue
-		}
-		p := ps[i].To64()
-		tp := p.Frobenius()
-		p64[i], tp64[i] = p, tp
-		sd[2*i] = ec.FromAffine64(p).AddMixed(tp)
-		sd[2*i+1] = ec.FromAffine64(p).AddMixed(tp.Neg())
-	}
-	// One inversion for every point's P+τP and P−τP.
-	s.normalize64(sdA, sd)
-	tabLD := Grow(&s.btabLD, tw*n)
-	tab := Grow(&s.btab, tw*n)
-	for i := 0; i < n; i++ {
-		if p64[i].Inf {
-			for j := 0; j < tw; j++ {
-				tabLD[tw*i+j] = ec.LD64Infinity
-			}
-			continue
-		}
-		for j := 0; j < tw; j++ {
-			tabLD[tw*i+j] = alphaPointLD64(alphaA[j], alphaB[j], p64[i], tp64[i], sdA[2*i], sdA[2*i+1])
 		}
 	}
-	// One inversion for every point's whole α table.
-	s.normalize64(tab, tabLD)
+	// Every point's α table at once: two inversions for the batch.
+	tab := s.alphaTables(&s.btab, p64, WRandom)
+	const tw = 1 << (WRandom - 2)
 	for i := 0; i < n; i++ {
 		if p64[i].Inf {
 			dst[i] = ec.LD64Infinity

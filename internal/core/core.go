@@ -35,9 +35,11 @@ const (
 // points for w = 6, 4 points for w = 4). The table entries are returned
 // in affine coordinates so the main loop can use mixed addition.
 //
-// This runs once per random-point multiplication, so it is built in LD
-// coordinates (no per-addition inversion) and normalised with a single
-// batched inversion at the end.
+// It is the paper-faithful 32-bit reference that codegen, profile and
+// the Backend32 paths consume, and the oracle every host table is
+// tested against. Host tables come from Scratch.alphaTables, one
+// affine addition per entry: 0.12 ms at w = 10 where this ladder
+// construction takes ~1.4 ms (BenchmarkAlphaTable, 2-vCPU Xeon VM).
 func AlphaPoints(p ec.Affine, w int) []ec.Affine {
 	alphas := koblitz.Alpha(w)
 	tp := p.Frobenius()
@@ -181,26 +183,29 @@ type FixedBase struct {
 	w     int
 	point ec.Affine
 	table []ec.Affine
-	// table64 is the same table pre-converted for the 64-bit loop, so
-	// per-call conversion is only paid for genuinely fresh tables.
+	// table64 is the table the 64-bit loops read; table is its 32-bit
+	// view for the reference backend, nil for w > koblitz.MaxW.
 	table64 []ec.Affine64
 }
 
-// NewFixedBase builds the width-w precomputation for p. Wide tables
-// (w > koblitz.MaxW) exist for the joint verifier's 64-bit evaluation
-// only, so they drop the 32-bit view after conversion — for a server
-// precomputing per-key verification tables that halves the retained
-// memory.
+// NewFixedBase builds the width-w precomputation for p through
+// Scratch.alphaTables in the 64-bit representation; the 32-bit view
+// is a conversion of that table. Wide tables (w > koblitz.MaxW) exist for
+// the joint verifier's 64-bit evaluation only, so they carry no 32-bit
+// view — for a server precomputing per-key verification tables that
+// halves the retained memory.
 func NewFixedBase(p ec.Affine, w int) *FixedBase {
-	table := AlphaPoints(p, w)
-	table64 := make([]ec.Affine64, len(table))
-	for i, q := range table {
-		table64[i] = q.To64()
+	s := getScratch()
+	defer putScratch(s)
+	fb := &FixedBase{w: w, point: p}
+	s.alphaTables(&fb.table64, []ec.Affine64{p.To64()}, w)
+	if w <= koblitz.MaxW {
+		fb.table = make([]ec.Affine, len(fb.table64))
+		for i, q := range fb.table64 {
+			fb.table[i] = q.Affine()
+		}
 	}
-	if w > koblitz.MaxW {
-		table = nil
-	}
-	return &FixedBase{w: w, point: p, table: table, table64: table64}
+	return fb
 }
 
 // Point returns the fixed point this table belongs to.

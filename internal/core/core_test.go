@@ -118,25 +118,6 @@ func TestFixedBaseTable(t *testing.T) {
 	}
 }
 
-func TestAlphaPointsOnCurve(t *testing.T) {
-	g := ec.Gen()
-	for _, w := range []int{WRandom, WFixed} {
-		pts := AlphaPoints(g, w)
-		if len(pts) != 1<<(w-2) {
-			t.Fatalf("w=%d: %d points", w, len(pts))
-		}
-		// P_1 = α_1·P = P.
-		if !pts[0].Equal(g) {
-			t.Fatalf("w=%d: P_1 != P", w)
-		}
-		for i, p := range pts {
-			if !p.OnCurve() {
-				t.Fatalf("w=%d: P_%d off curve", w, 2*i+1)
-			}
-		}
-	}
-}
-
 func TestLadderMatchesGeneric(t *testing.T) {
 	rnd := rand.New(rand.NewSource(6))
 	g := ec.Gen()

@@ -37,18 +37,18 @@ import (
 // guaranteed for Q in the prime-order subgroup.
 
 // WJoint is the wTNAF width of the registry's generator table on the
-// joint path. The 1024-point table (~124 KiB both representations)
-// would be an absurd per-call build (see BenchmarkWindowWidth) but is
-// built exactly once per process, leaving only the digit density:
-// ~m/13 additions instead of the w=4 path's ~m/5.
+// joint path. The 1024-point table (72 KiB, 64-bit only) takes
+// ~0.4 ms to build, about six kP (BenchmarkAlphaTable, 2-vCPU Xeon
+// VM), so it is built once per process, leaving only the digit
+// density: ~m/13 additions instead of the w=4 path's ~m/5.
 const WJoint = 12
 
 // WPrecomp is the default wTNAF width of per-key verification tables
-// (PublicKey.Precompute in the root package): 256 points, ~31 KiB per
-// key across both representations — sized for keys that verify many
-// signatures, not for every key a server ever parses. One step wider
-// doubles the memory for ~3% fewer additions; one narrower saves half
-// the memory for ~6% more.
+// (PublicKey.Precompute in the root package): 256 points, 18 KiB per
+// key (64-bit only), built in ~0.12 ms — sized for keys that verify
+// more than a handful of signatures. One step wider doubles the
+// memory for ~3% fewer additions; one narrower saves half the memory
+// for ~6% more.
 const WPrecomp = 10
 
 // jointLD64 is the shared interleaved Horner loop: one Frobenius per

@@ -154,7 +154,7 @@ func (ms *MultiScalar) AddAffine(u *big.Int, q ec.Affine64) {
 	}
 	t := ms.grabTerm()
 	t.digits = ms.rec.RecodeInto(u, WRandom, t.digits)
-	t.table = ms.sc.alphaTableInto(&t.own, q, WRandom)
+	t.table = ms.sc.alphaTables(&t.own, []ec.Affine64{q}, WRandom)
 	ms.maxT = max(ms.maxT, len(t.digits))
 }
 

@@ -79,10 +79,9 @@ func (r *tableRegistry) generatorTNAF() *FixedBase {
 
 // generatorJoint returns the frozen wTNAF w=WJoint table for G: the
 // wide-window generator side of the joint double-scalar verifier. Its
-// 2^(WJoint-2) = 1024 points are far too expensive to build per call
-// (that is what caps ScalarMult at w=4) but are built exactly once
-// here, so the verification hot path pays only the ~m/(WJoint+1)
-// digit density.
+// 2^(WJoint-2) = 1024 points cost ~0.4 ms to build, several
+// verifications' worth, so they are built exactly once here and the
+// verification hot path pays only the ~m/(WJoint+1) digit density.
 func (r *tableRegistry) generatorJoint() *FixedBase {
 	r.jointOnce.Do(func() {
 		r.joint = NewFixedBase(ec.Gen(), WJoint)
@@ -102,10 +101,10 @@ func (r *tableRegistry) orderDigits() []int8 {
 	return r.ord
 }
 
-func generatorComb() *Comb   { return genTables.generatorComb() }
+func generatorComb() *Comb     { return genTables.generatorComb() }
 func generatorCombCT() *combCT { return genTables.generatorCombCT() }
-func genBase() *FixedBase    { return genTables.generatorTNAF() }
-func genJoint() *FixedBase   { return genTables.generatorJoint() }
+func genBase() *FixedBase      { return genTables.generatorTNAF() }
+func genJoint() *FixedBase     { return genTables.generatorJoint() }
 
 // Warm eagerly builds every shared table the hot paths consult lazily:
 // the generator comb and wTNAF tables, the order digit string, the

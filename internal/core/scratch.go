@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/big"
-	"math/bits"
 	"sync"
 
 	"repro/internal/ec"
@@ -27,23 +26,18 @@ type Scratch struct {
 	rec   koblitz.Scratch
 	mod   big.Int // scalar mod n for comb evaluation
 	table []ec.Affine64
-	ld    []ec.LD64
-	zs    []gf233.Elem64
-	inv   []gf233.Elem64
-	// sum/dif staging for the α-table construction: fixed-size so the
-	// slices handed to normalize64 never escape to the heap.
-	sd  [2]ec.LD64
-	sdA [2]ec.Affine64
-	// staging for the batched multi-point ladder (ScalarMultBatchLD64):
-	// per-point bases and their Frobenius images, the batch-wide sum/dif
-	// pairs and α tables. Kept separate from the single-point buffers so
-	// a batched build never invalidates a table a caller is holding.
-	bp     []ec.Affine64
-	btp    []ec.Affine64
-	bsd    []ec.LD64
-	bsdA   []ec.Affine64
-	btabLD []ec.LD64
-	btab   []ec.Affine64
+	// staging for the α-table construction (alphaTables): the LD chain of
+	// multiples, the affine multiples with their τ images, and the
+	// batched-inversion operands.
+	ld   []ec.LD64
+	mult []ec.Affine64
+	zs   []gf233.Elem64
+	inv  []gf233.Elem64
+	// per-point bases and α tables of the batched ladder
+	// (ScalarMultBatchLD64), kept apart from table so a batch never
+	// overwrites a table a caller is holding.
+	bp   []ec.Affine64
+	btab []ec.Affine64
 	// kw/kb stage a secret scalar in fixed-width form for the
 	// constant-time evaluators (ct.go); both are zeroed by Wipe.
 	kw [4]uint64
@@ -121,77 +115,104 @@ func (s *Scratch) normalize64(dst []ec.Affine64, pts []ec.LD64) {
 	}
 }
 
-// alphaTable builds the width-w table P_u = α_u·P (u odd, u < 2^(w−1))
-// natively in the 64-bit representation: the scratch twin of
-// AlphaPoints. The α coordinates come from the shared int64 cache, the
-// joint ladders run in LD64, and the only inversions are the two
-// batched normalisations (sum/dif, then the table) — so the whole
-// construction allocates nothing and never touches big.Int.
+// alphaTable builds p's width-w table into the Scratch's own buffer,
+// valid until the next alphaTable call on this Scratch.
 func (s *Scratch) alphaTable(p ec.Affine64, w int) []ec.Affine64 {
-	return s.alphaTableInto(&s.table, p, w)
+	return s.alphaTables(&s.table, []ec.Affine64{p}, w)
 }
 
-// alphaTableInto is alphaTable writing into a caller-retained buffer
-// (grown in place), so consumers that must hold several tables live at
-// once — the multi-scalar evaluator keeps one per distinct key — can
-// build them through one Scratch without the later builds invalidating
-// the earlier tables.
-func (s *Scratch) alphaTableInto(dst *[]ec.Affine64, p ec.Affine64, w int) []ec.Affine64 {
+// alphaTables builds every host α table. It grows *dst to
+// len(ps)·t entries (t = 2^(w−2)) and writes the width-w table of
+// ps[i], P_u = α_u·P for odd u < 2^(w−1), into dst[i·t : (i+1)·t],
+// entry for entry equal to AlphaPoints(ps[i], w).
+//
+// Each representative α_u = a + b·τ has |a|, |b| ≤ m (m = 3, 5, 19, 51
+// at w = 4, 6, 10, 12; Solinas 2000), so an entry is one affine
+// addition of two precomputed multiples, ±|a|·P and ±|b|·τP:
+//
+//  1. j·P for 2 ≤ j ≤ m as an LD chain, normalised with one batched
+//     inversion, and the Frobenius images τ(j·P);
+//  2. every entry's chord slope over one more batched inversion shared
+//     by all entries of all points.
+//
+// So a call pays two inversions whatever the width and batch size. A
+// zero coefficient or an operand at infinity needs no addition; a pair
+// with x₁ = x₂ (a doubling, or a sum that vanishes) falls back to the
+// total LD addition, which happens only off the prime-order subgroup.
+//
+// Tables are written only to *dst, never into the staging buffers
+// (ld, mult, zs, inv), so a table a caller holds survives later builds
+// through the same Scratch.
+func (s *Scratch) alphaTables(dst *[]ec.Affine64, ps []ec.Affine64, w int) []ec.Affine64 {
 	alphaA, alphaB := koblitz.AlphaCoeffs(w)
-	n := len(alphaA)
-	tp := p.Frobenius()
-	// The two shared combination points P+τP and P−τP, normalised
-	// together with one inversion.
-	s.sd[0] = ec.FromAffine64(p).AddMixed(tp)
-	s.sd[1] = ec.FromAffine64(p).AddMixed(tp.Neg())
-	s.normalize64(s.sdA[:], s.sd[:])
-	sum, dif := s.sdA[0], s.sdA[1]
-	ld := Grow(&s.ld, n)
-	for i := 0; i < n; i++ {
-		ld[i] = alphaPointLD64(alphaA[i], alphaB[i], p, tp, sum, dif)
+	t, n := len(alphaA), len(ps)
+	m := 1
+	for u := range alphaA {
+		m = max(m, int(abs64(alphaA[u])), int(abs64(alphaB[u])))
 	}
-	table := Grow(dst, n)
-	s.normalize64(table, ld)
+	// Multiples are stored j-major: mult[(j−1)·n+i] = j·ps[i] and,
+	// from offset m·n, their τ images.
+	mult := Grow(&s.mult, 2*m*n)
+	copy(mult, ps)
+	ld := Grow(&s.ld, (m-1)*n)
+	for i, p := range ps {
+		q := ec.FromAffine64(p)
+		for j := 0; j < m-1; j++ {
+			q = q.AddMixed(p)
+			ld[j*n+i] = q
+		}
+	}
+	s.normalize64(mult[n:m*n], ld)
+	for j := 0; j < m*n; j++ {
+		mult[m*n+j] = mult[j].Frobenius()
+	}
+	zs := Grow(&s.zs, t*n)
+	for i := range ps {
+		for u := range alphaA {
+			x1 := multiple(mult[i:], n, alphaA[u])
+			x2 := multiple(mult[m*n+i:], n, alphaB[u])
+			zs[i*t+u] = gf233.Zero64
+			if !x1.Inf && !x2.Inf {
+				zs[i*t+u] = gf233.Add64(x1.X, x2.X)
+			}
+		}
+	}
+	gf233.InvBatch64(zs, Grow(&s.inv, t*n))
+	table := Grow(dst, t*n)
+	for i := range ps {
+		for u := range alphaA {
+			x1 := multiple(mult[i:], n, alphaA[u])
+			x2 := multiple(mult[m*n+i:], n, alphaB[u])
+			switch inv := zs[i*t+u]; {
+			case x1.Inf:
+				table[i*t+u] = x2
+			case x2.Inf:
+				table[i*t+u] = x1
+			case inv.IsZero():
+				table[i*t+u] = ec.FromAffine64(x1).AddMixed(x2).Affine()
+			default:
+				// λ = (y₁+y₂)/(x₁+x₂), x₃ = λ²+λ+x₁+x₂ (a = 0),
+				// y₃ = λ(x₁+x₃)+x₃+y₁.
+				l := gf233.Mul64(gf233.Add64(x1.Y, x2.Y), inv)
+				x3 := gf233.Add64(gf233.Add64(gf233.Sqr64(l), l), gf233.Add64(x1.X, x2.X))
+				y3 := gf233.Add64(gf233.Add64(gf233.Mul64(l, gf233.Add64(x1.X, x3)), x3), x1.Y)
+				table[i*t+u] = ec.Affine64{X: x3, Y: y3}
+			}
+		}
+	}
 	return table
 }
 
-// alphaPointLD64 computes (a + b·τ)·P = a·P + b·τ(P) with a Shamir
-// joint double-and-add over |a| and |b| — the int64 LD64 port of
-// alphaPointLD (the α coordinates fit comfortably in machine words for
-// every supported width).
-func alphaPointLD64(a, b int64, p, tp, sum, dif ec.Affine64) ec.LD64 {
-	pa, pb := p, tp
-	if a < 0 {
-		pa = pa.Neg()
-	}
-	if b < 0 {
-		pb = pb.Neg()
-	}
-	var both ec.Affine64
+// multiple returns c·B from mult, where mult[(j−1)·stride] = j·B for
+// 1 ≤ j ≤ |c|; c = 0 gives ∞.
+func multiple(mult []ec.Affine64, stride int, c int64) ec.Affine64 {
 	switch {
-	case a >= 0 && b >= 0:
-		both = sum
-	case a < 0 && b < 0:
-		both = sum.Neg()
-	case a >= 0:
-		both = dif
-	default:
-		both = dif.Neg()
+	case c > 0:
+		return mult[int(c-1)*stride]
+	case c < 0:
+		return mult[int(-c-1)*stride].Neg()
 	}
-	ua, ub := abs64(a), abs64(b)
-	r := ec.LD64Infinity
-	for i := max(bits.Len64(ua), bits.Len64(ub)) - 1; i >= 0; i-- {
-		r = r.Double()
-		switch {
-		case ua>>i&1 == 1 && ub>>i&1 == 1:
-			r = r.AddMixed(both)
-		case ua>>i&1 == 1:
-			r = r.AddMixed(pa)
-		case ub>>i&1 == 1:
-			r = r.AddMixed(pb)
-		}
-	}
-	return r
+	return ec.Affine64{Inf: true}
 }
 
 func abs64(v int64) uint64 {

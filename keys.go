@@ -97,14 +97,15 @@ func (pub *PublicKey) BytesCompressed() []byte { return pub.point.EncodeCompress
 func (pub *PublicKey) Point() Point { return pub.point }
 
 // Precompute builds and caches a wide-window (w = 10, 256-point,
-// ~31 KiB) α-multiple table for this key, which every verification
+// 18 KiB) α-multiple table for this key, which every verification
 // path — pub.Verify, pub.VerifyASN1, BatchEngine.VerifyKey — then
 // consults automatically: the per-verification table build disappears
 // and the signer-side additions drop by roughly a third, worth ~1.5x
-// on one-shot verification. Use it for keys that verify many
-// signatures (a gateway fronting a long-lived device); for a key
-// parsed to verify a single message the build cost exceeds the
-// saving, which is why it is explicit rather than automatic.
+// on one-shot verification. The build costs about two scalar
+// multiplications (~0.12 ms on a 2-vCPU Xeon VM) and breaks even at
+// about five verifications with the key; for a key parsed to verify
+// one or two messages it does not pay, which is why it is explicit
+// rather than automatic.
 //
 // Precompute is idempotent and safe to call concurrently; racing
 // builders may both do the work, but all verifiers observe a frozen,
