@@ -1,7 +1,8 @@
 # Tier-1 verification and CI entry points.
 #
 #   make ci      - everything a pre-merge check runs, a superset of the
-#                  tier-1 `go build ./... && go test ./...`: build, vet,
+#                  tier-1 `go build ./... && go test ./...`: build, vet
+#                  (of the library and of the bench/ module),
 #                  race-enabled tests (including the 32-goroutine
 #                  concurrency tests in internal/engine and
 #                  internal/core), the same unit-test set a second time
@@ -56,7 +57,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test64 race fuzz alloc api bench bench-verify bench-ecqv bench-sign ct chaos load serve-smoke ci
+.PHONY: all build vet vet-bench test test64 race fuzz alloc api bench bench-verify bench-ecqv bench-sign ct chaos load serve-smoke ci
 
 all: ci
 
@@ -65,6 +66,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is a module of its own (bench/go.mod), so `go build ./...` and
+# `go test ./...` never compile it, yet it calls internal identifiers of
+# the library (core.InSubgroup, ecdh.SharedSecretTau, the engine.Batch*
+# kernels, ...). Vetting it here makes a rename or removal that would
+# break only the benchmark fail the pre-merge check instead.
+vet-bench:
+	$(GO) -C bench vet ./...
 
 test:
 	$(GO) test ./...
@@ -154,4 +163,4 @@ load:
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-ci: build vet race test64 fuzz alloc api ct chaos serve-smoke
+ci: build vet vet-bench race test64 fuzz alloc api ct chaos serve-smoke

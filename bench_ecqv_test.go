@@ -41,13 +41,13 @@ func benchECQVInputs(b *testing.B, n int) (*CA, *PublicKey, []*Cert) {
 //   - issue: CA-side issuance with a deterministic nonce (one
 //     fixed-base scalar multiplication plus scalar arithmetic);
 //   - extract: the one-shot verifier path — a scalar multiplication,
-//     an affine addition, and the full τ-adic subgroup validation of
+//     an affine addition, and the halving-trace subgroup validation of
 //     the result;
 //   - extractBatched32/128: the same extraction through the engine
 //     kernel at batch 32 and 128, where the ladder tables and the
 //     final projective-to-affine conversion share batch-wide
-//     inversions and the subgroup checks run the exact constant-cost
-//     halving-trace test instead of the τ-adic ladder.
+//     inversions; the subgroup checks are the same halving-trace test
+//     as the one-shot path.
 func BenchmarkECQV(b *testing.B) {
 	ca, caPub, certs := benchECQVInputs(b, 128)
 	core.Warm()

@@ -549,8 +549,9 @@ func BenchmarkPointMulOnSimulator(b *testing.B) {
 
 // BenchmarkValidate contrasts the two peer validators: the generic
 // double-and-add n·Q check (one inversion, ~233 LD doublings) and the
-// τ-adic exact-TNAF check the batch engine uses (no inversion, cheap
-// Frobenius maps).
+// halving-trace subgroup test every other path uses (two traces and
+// one table half-trace, no inversion). The "tau" name is kept from the
+// τ-adic n·Q evaluation that test replaced.
 func BenchmarkValidate(b *testing.B) {
 	peer := ec.ScalarMultGeneric(benchScalar(), ec.Gen())
 	b.Run("generic", func(b *testing.B) {

@@ -15,7 +15,8 @@
 //
 // The interesting column is the speedup at realistic server settings
 // (many goroutines, batch ≈ 32): that is where the engine's amortised
-// inversions, τ-adic validation and allocation-free scratch paths pay.
+// inversions, halving-trace validation and allocation-free scratch
+// paths pay.
 package main
 
 import (

@@ -358,13 +358,28 @@ func TestStalledWriterFreesInflightSlot(t *testing.T) {
 		WriteTimeout: 200 * time.Millisecond,
 	}, plans, nil)
 
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for limit := time.Now().Add(3 * time.Second); !cond(); {
+			if time.Now().After(limit) {
+				t.Fatal(what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	staller := dialFrame(t, addr)
 	staller.SetRoundtripTimeout(3 * time.Second)
 	if f, err := staller.Roundtrip(1, frame.TPing); err != nil || f.Type != frame.TOK {
 		t.Fatalf("staller handshake: type %#x err %v", f.Type, err)
 	}
+	// The ping's slot is released just after its response is written;
+	// a sign sent before that is shed with TOverload and never stalls.
+	waitFor("the ping never released its inflight slot", func() bool { return s.m.inflight.Load() == 0 })
 	digest := sha256.Sum256([]byte("pin"))
 	go staller.Roundtrip(2, frame.TSign, digest[:]) // response write stalls, slot held
+	// A second connection that reached the server first would be
+	// served at once, with nothing stalled.
+	waitFor("the staller's sign never took the slot", func() bool { return s.m.reqSign.Load() == 1 })
 
 	// A second connection must get real service once the write deadline
 	// frees the slot; without deadlines it sees TOverload forever.

@@ -19,8 +19,9 @@ const SharedSecretSize = engine.SecretSize
 // construction; ECDH still re-validates before the private scalar
 // touches the point, so a corrupted or hand-built peer cannot leak
 // key bits through a small-subgroup confinement. The re-validation
-// uses the τ-adic subgroup check (differentially proven equal to the
-// generic one), so it does not cost a second scalar multiplication.
+// is the halving-trace subgroup test (differentially proven equal to
+// the generic n·Q ladder): ~1µs including the on-curve check, against
+// ~54µs for the fast shared-secret evaluation it guards.
 func (priv *PrivateKey) ECDH(peer *PublicKey, length int) ([]byte, error) {
 	return ecdh.SharedKeyTau(priv.key, peer.point, length)
 }

@@ -209,7 +209,7 @@ func ReconstructPrivateKey(req *CertRequest, cert *Cert, contrib []byte, caPub *
 // ExtractPublicKey computes the certified public key
 // Q_U = H(Cert)·P_cert + Q_CA — the one-shot verifier-side
 // operation. The result is fully validated (subgroup membership via
-// the τ-adic check) before it is wrapped, so extracted keys are safe
+// the halving-trace test) before it is wrapped, so extracted keys are safe
 // for every subgroup-assuming path, Precompute included. Servers
 // extracting at scale batch this through
 // BatchEngine.ExtractPublicKey / BatchExtractPublicKeys instead.

@@ -50,8 +50,8 @@ func TestScratchScalarMultMatchesReference(t *testing.T) {
 	}
 }
 
-// TestInSubgroupMatchesGeneric pins the τ-adic order check to the
-// generic n·Q = ∞ ladder on subgroup members, points outside the
+// TestInSubgroupMatchesGeneric pins the halving-trace subgroup test to
+// the generic n·Q = ∞ ladder on subgroup members, points outside the
 // subgroup (assembled from the order-2 point (0, 1)), and the
 // identity.
 func TestInSubgroupMatchesGeneric(t *testing.T) {

@@ -55,10 +55,17 @@ type Affine struct {
 var Infinity = Affine{Inf: true}
 
 // OnCurve reports whether p satisfies the curve equation
-// y² + xy = x³ + ax² + b (the identity is on the curve by convention).
+// y² + xy = x³ + ax² + b (the identity is on the curve by convention)
+// with both coordinates reduced. Mul and Sqr reduce their inputs, so a
+// hand-built coordinate with bits above z^232 would pass the equation
+// as the point it stands for, while Add and the trace tests of the
+// subgroup check read a different value.
 func (p Affine) OnCurve() bool {
 	if p.Inf {
 		return true
+	}
+	if (p.X[gf233.NumWords-1]|p.Y[gf233.NumWords-1])&^gf233.TopMask != 0 {
+		return false
 	}
 	// Left: y² + xy. Right: x³ + ax² + b = x³ + b since a = 0.
 	left := gf233.Add(gf233.Sqr(p.Y), gf233.Mul(p.X, p.Y))

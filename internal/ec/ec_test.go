@@ -25,6 +25,38 @@ func TestGeneratorOnCurve(t *testing.T) {
 	}
 }
 
+// unreduced adds the reduction polynomial f(z) = z^233 + z^74 + 1 to a:
+// the same field element, written with a bit above z^232.
+func unreduced(a gf233.Elem) gf233.Elem {
+	a[7] ^= 1 << 9
+	a[2] ^= 1 << 10
+	a[0] ^= 1
+	return a
+}
+
+// TestOnCurveRejectsUnreduced holds OnCurve to canonical coordinates.
+// Mul and Sqr reduce their inputs, so an unreduced copy of G satisfies
+// the curve equation as the point it stands for, while the linear maps
+// (Add, the trace, the half-trace table) read a different value. Every
+// validator starts with OnCurve, so rejecting here keeps such a point
+// away from all of them.
+func TestOnCurveRejectsUnreduced(t *testing.T) {
+	g := Gen()
+	if gf233.Mul(unreduced(g.X), gf233.One) != g.X {
+		t.Fatal("unreduced(x) is not the same field element as x")
+	}
+	for _, p := range []Affine{
+		{X: unreduced(g.X), Y: g.Y},
+		{X: g.X, Y: unreduced(g.Y)},
+		{X: unreduced(g.X), Y: unreduced(g.Y)},
+		{X: unreduced(gf233.Zero), Y: gf233.One}, // the order-2 point
+	} {
+		if p.OnCurve() {
+			t.Errorf("OnCurve accepted unreduced coordinates %v", p)
+		}
+	}
+}
+
 func TestGeneratorOrder(t *testing.T) {
 	// n·G = infinity and (n-1)·G = -G: verifies both the group order
 	// constant and the scalar ladder.

@@ -105,21 +105,26 @@ func Decode(b []byte) (Affine, error) {
 // x != 0, λ = y/x satisfies the quadratic λ² + λ = x + a + b/x², which is
 // solvable iff Tr(x + a + b/x²) = 0; the solution is the half-trace of
 // the right-hand side and λ's low bit selects between the two roots.
+// The arithmetic runs in the 64-bit representation, and the half-trace
+// comes from the frozen table (SolveQuadratic64) rather than the
+// double-squaring chain of SolveQuadratic, which the tests keep as the
+// reference.
 func Decompress(x gf233.Elem, bit uint32) (Affine, error) {
 	if x == gf233.Zero {
 		// y² = b, so y = sqrt(b) = 1 for sect233k1.
 		return Affine{X: x, Y: gf233.Sqrt(B)}, nil
 	}
-	x2i, _ := gf233.Inv(gf233.Sqr(x))
-	c := gf233.Add(x, gf233.Mul(B, x2i)) // a = 0
-	lam, ok := SolveQuadratic(c)
+	x64 := gf233.ToElem64(x)
+	x2i := gf233.MustInv64(gf233.Sqr64(x64))
+	c := gf233.Add64(x64, gf233.Mul64(gf233.ToElem64(B), x2i)) // a = 0
+	lam, ok := SolveQuadratic64(c)
 	if !ok {
 		return Infinity, ErrNotOnCurve
 	}
-	if lam.Bit(0) != bit&1 {
-		lam = gf233.Add(lam, gf233.One)
+	if uint32(lam[0]&1) != bit&1 {
+		lam = gf233.Add64(lam, gf233.One64)
 	}
-	p := Affine{X: x, Y: gf233.Mul(lam, x)}
+	p := Affine{X: x, Y: gf233.Mul64(lam, x64).Elem()}
 	if !p.OnCurve() {
 		return Infinity, ErrNotOnCurve
 	}

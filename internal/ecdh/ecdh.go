@@ -45,13 +45,15 @@ func Validate(peer ec.Affine) error {
 
 // ValidateTau is Validate on the fast path: the same predicate (on
 // curve, not the identity, in the prime-order subgroup), with the
-// membership check done by core.InSubgroup's exact τ-adic expansion of
-// n instead of the generic double-and-add ladder — roughly half the
-// field multiplications and no final inversion. The expansion of n is
-// exact over Z[τ] (no partial reduction), so unlike the fast kP path
-// it is sound on points outside the subgroup; the differential test in
-// ecdh_property_test.go holds the two validators equal. The batch
-// engine validates every incoming peer with this.
+// membership check done by core.InSubgroup instead of the generic
+// double-and-add ladder. That is the halving-trace test: two traces
+// and one table half-trace, exact on the whole curve, ~1 µs with the
+// on-curve check against ~0.9 ms for the ladder (Validate stays as the
+// reference the tests compare against). The name is kept from the
+// τ-adic n·P evaluation the check used to run. The differential test
+// in validate_tau_test.go holds the two validators equal on every
+// coset of the subgroup. Every public-key constructor, the ECQV
+// certificate paths and the batch engine validate with this.
 func ValidateTau(peer ec.Affine) error {
 	if peer.Inf || !peer.OnCurve() {
 		return ErrInvalidPublicKey
@@ -68,11 +70,12 @@ func SharedSecret(priv *core.PrivateKey, peer ec.Affine) ([]byte, error) {
 	return sharedSecret(Validate, priv, peer)
 }
 
-// SharedSecretTau is SharedSecret with the τ-adic validator
-// (ValidateTau): the same predicate, roughly 4× cheaper than the
-// generic ladder check. The one-shot path for peers that arrive as
-// validated opaque keys, where the re-validation is defense in depth
-// and should not cost a second scalar multiplication.
+// SharedSecretTau is SharedSecret with the fast validator
+// (ValidateTau): the same predicate, so the validation costs ~1 µs
+// instead of a second scalar multiplication; a fast-key shared secret
+// is ~54 µs on a Xeon core, a hardened one ~216 µs. This is the
+// one-shot path for peers that arrive as validated opaque keys, where
+// the re-validation is defense in depth.
 func SharedSecretTau(priv *core.PrivateKey, peer ec.Affine) ([]byte, error) {
 	return sharedSecret(ValidateTau, priv, peer)
 }
@@ -103,7 +106,7 @@ func SharedKey(priv *core.PrivateKey, peer ec.Affine, length int) ([]byte, error
 	return sharedKey(SharedSecret, priv, peer, length)
 }
 
-// SharedKeyTau is SharedKey over SharedSecretTau (τ-adic validation).
+// SharedKeyTau is SharedKey over SharedSecretTau (fast validation).
 func SharedKeyTau(priv *core.PrivateKey, peer ec.Affine, length int) ([]byte, error) {
 	return sharedKey(SharedSecretTau, priv, peer, length)
 }

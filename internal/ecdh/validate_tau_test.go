@@ -9,22 +9,34 @@ import (
 	"repro/internal/gf233"
 )
 
-// TestValidateTauMatchesValidate holds the fast τ-adic validator equal
-// to the generic-ladder reference on valid peers, off-curve points,
-// the identity, small-subgroup points, and subgroup-plus-torsion
-// composites.
+// TestValidateTauMatchesValidate holds the fast validator equal to the
+// generic-ladder reference on valid peers, off-curve points, the
+// identity, the three small-order points and P + each of them. The
+// order-2 point (0, 1) and its coset are rejected by the second trace
+// of the halving test; the order-4 points (1, 0) and (1, 1) and their
+// cosets have Tr(x) = 1 and are rejected by the first.
 func TestValidateTauMatchesValidate(t *testing.T) {
 	rnd := rand.New(rand.NewSource(33))
 	g := ec.Gen()
-	two := ec.Affine{X: gf233.Zero, Y: gf233.One} // order-2 point
+	torsion := []ec.Affine{
+		{X: gf233.Zero, Y: gf233.One}, // order 2
+		{X: gf233.One, Y: gf233.Zero}, // order 4
+		{X: gf233.One, Y: gf233.One},  // order 4
+	}
 	offCurve := g
 	offCurve.Y = gf233.Add(offCurve.Y, gf233.One)
 
-	pts := []ec.Affine{g, ec.Infinity, two, g.Add(two), offCurve}
+	pts := []ec.Affine{g, ec.Infinity, offCurve}
+	for _, tp := range torsion {
+		pts = append(pts, tp, g.Add(tp))
+	}
 	for i := 0; i < 8; i++ {
 		k := new(big.Int).Rand(rnd, ec.Order)
 		p := ec.ScalarMultGeneric(k, g)
-		pts = append(pts, p, p.Add(two))
+		pts = append(pts, p)
+		for _, tp := range torsion {
+			pts = append(pts, p.Add(tp))
+		}
 	}
 	for i, p := range pts {
 		want := Validate(p)

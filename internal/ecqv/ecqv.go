@@ -23,9 +23,10 @@
 // Hostile inputs are rejected before any group operation touches them:
 // certificate parsing enforces the exact 31-byte compressed framing,
 // decompression solvability is the on-curve check, and the cofactor-4
-// curve's small-order points are excluded by the τ-adic subgroup check
-// (ecdh.ValidateTau) — the same torsion hardening the verify kernels
-// got in the batch-verification work.
+// curve's small-order points are excluded by the halving-trace
+// subgroup test (ecdh.ValidateTau → core.InSubgroup, ~1µs) — the same
+// exact test the batch kernels run on keys, nonce points and
+// extracted keys.
 package ecqv
 
 import (
@@ -238,7 +239,8 @@ func (ca *CA) Issue(reqPoint ec.Affine, identity []byte, rand io.Reader) (*Cert,
 // and Q_CA are subgroup points so the sum always passes, but the
 // validation makes "keys leaving Extract are safe for the
 // subgroup-assuming kernels" a checked property rather than an
-// argument.
+// argument. The halving-trace test makes that check ~1µs of the
+// ~59µs extraction.
 func Extract(cert *Cert, caPub ec.Affine) (ec.Affine, error) {
 	e := cert.HashScalar(caPub)
 	if e.Sign() == 0 {

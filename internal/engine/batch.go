@@ -319,12 +319,13 @@ func processBatch(s *batchScratch, batch []*request) {
 			// kernel: both inputs were subgroup points so the sum must be
 			// too, but extracted keys feed the subgroup-assuming verify
 			// kernels, so the property is checked, not argued. The
-			// halving-trace test (ec.InPrimeSubgroup64) is exact and is
-			// held equal to the τ-adic n·P check by differential tests.
+			// halving-trace test (ec.InPrimeSubgroup64, core.InSubgroup's
+			// body) is exact and is held equal to the generic n·P = ∞
+			// ladder by differential tests.
 			zi := zs[i]
 			x64 := gf233.Mul64(r.ld.X, zi)
 			y64 := gf233.Mul64(r.ld.Y, gf233.Sqr64(zi))
-			if x64 == gf233.Zero64 || !ec.InPrimeSubgroup64(x64, y64) {
+			if !ec.InPrimeSubgroup64(x64, y64) {
 				r.err = ErrExtractDegenerate
 				continue
 			}
@@ -493,7 +494,7 @@ func prepareVerify(r *request) bool {
 
 // prepareExtract validates one extraction request: the certificate
 // point — attacker-controlled wire input — is re-checked inside the
-// kernel (on curve, x ≠ 0, prime-order subgroup via the cheap
+// kernel (on curve, prime-order subgroup via core.InSubgroup's
 // halving-trace test) so that a small-order or off-curve point can
 // never reach a ladder even if a caller bypassed certificate parsing;
 // then the certificate hash scalar e is formed from the caller-
@@ -505,10 +506,7 @@ func (s *batchScratch) prepareExtract(r *request) bool {
 		r.err = ErrExtractPoint
 		return false
 	}
-	p64 := p.To64()
-	// x = 0 is the order-2 point (the on-curve x = 0 solution): outside
-	// the halving-trace test's precondition and never a certificate.
-	if p64.X == gf233.Zero64 || !ec.InPrimeSubgroup64(p64.X, p64.Y) {
+	if !core.InSubgroup(p) {
 		r.err = ErrExtractPoint
 		return false
 	}
@@ -687,9 +685,10 @@ func (s *batchScratch) recoverPoints(q []*request) []*request {
 // value unknown to submitters, so a batch containing any request with
 // u1ᵢ·G + u2ᵢ·Qᵢ ≠ Rᵢ passes with probability ≤ ~2⁻⁶² — PROVIDED the
 // difference is a point of prime order, which is why every point
-// entering the aggregate is subgroup-checked: keys per batch here
-// (core.InSubgroup, cached per distinct key in the group table) and
-// recovered nonce points in recoverPoints (the halving-trace test).
+// entering the aggregate is subgroup-checked with the halving-trace
+// test: keys here, once per distinct key per batch (core.InSubgroup,
+// ~0.4 µs, cached in the group table), and recovered nonce points in
+// recoverPoints (ec.InPrimeSubgroup64 on the decompressed coordinates).
 // The per-key coalescing reduces Σρᵢu2ᵢ mod n, which matches the
 // per-request ladders only on points of order n, so off-subgroup keys
 // are excluded — their requests keep joint-ladder verdicts,
@@ -708,9 +707,9 @@ func (s *batchScratch) verifyLC(lcQ []*request) []*request {
 		s.groupFor(r)
 	}
 	// Coalescing-density gate: the pass only wins when requests share
-	// keys — each distinct key costs a subgroup check, a table (or
-	// α-table build) and its own ~m-digit term, together comparable to
-	// the single joint ladder it replaces. Mostly-distinct batches go
+	// keys — each distinct key costs a table (or α-table build) and its
+	// own ~m-digit term, together comparable to the single joint ladder
+	// it replaces, plus a subgroup check. Mostly-distinct batches go
 	// straight to the per-request path before paying any per-key work.
 	if 2*s.ng > len(lcQ) {
 		return nil
@@ -1017,8 +1016,8 @@ type ExtractResult struct {
 // normalisations of all ladders share one field inversion, the α
 // tables themselves share another, and the final LD→affine
 // conversions share the batch-wide inversion — against four
-// inversions (plus a full τ-adic subgroup ladder for output
-// validation) on the one-shot path.
+// inversions on the one-shot path. Both paths validate the output with
+// the same ~0.4 µs halving-trace subgroup test.
 func BatchExtract(certs []ec.Affine, ca ec.Affine, digests [][]byte, out []ExtractResult) {
 	if len(digests) != len(certs) || len(out) != len(certs) {
 		panic("engine: BatchExtract length mismatch")

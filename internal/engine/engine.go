@@ -10,8 +10,9 @@
 //     the whole batch back to affine;
 //   - ECDSA nonce inverses mod n are batched the same way — one
 //     modular inversion per batch instead of one per signature;
-//   - incoming ECDH peers are validated with the τ-adic order check
-//     (ecdh.ValidateTau), which needs no inversion at all;
+//   - incoming ECDH peers are validated with the exact halving-trace
+//     subgroup test (ecdh.ValidateTau → core.InSubgroup): two traces
+//     and one table half-trace, ~0.4 µs, no inversion;
 //   - each worker owns a core.Scratch, so the steady-state hot path
 //     performs zero heap allocations.
 //

@@ -40,8 +40,9 @@ func ScalarMultConstantTime(k *big.Int, p Point) Point {
 }
 
 // ValidatePoint checks that p is on the curve, not the identity, and a
-// member of the prime-order subgroup.
-func ValidatePoint(p Point) error { return ecdh.Validate(p) }
+// member of the prime-order subgroup. It is the check NewPublicKey and
+// PublicKeyFromPoint run.
+func ValidatePoint(p Point) error { return ecdh.ValidateTau(p) }
 
 // EncodePoint returns the X9.62 uncompressed encoding of p.
 func EncodePoint(p Point) []byte { return p.Encode() }
