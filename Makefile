@@ -1,8 +1,9 @@
 # Tier-1 verification and CI entry points.
 #
 #   make ci      - everything a pre-merge check runs, a superset of the
-#                  tier-1 `go build ./... && go test ./...`: build, vet
-#                  (of the library and of the bench/ module),
+#                  tier-1 `go build ./... && go test ./...`: build, the
+#                  gofmt gate, vet (of the library and of the bench/
+#                  module),
 #                  race-enabled tests (including the 32-goroutine
 #                  concurrency tests in internal/engine and
 #                  internal/core), the same unit-test set a second time
@@ -57,12 +58,19 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-bench test test64 race fuzz alloc api bench bench-verify bench-ecqv bench-sign ct chaos load serve-smoke ci
+.PHONY: all build fmt vet vet-bench test test64 race fuzz alloc api bench bench-verify bench-ecqv bench-sign ct chaos load serve-smoke ci
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# Format gate: gofmt must list no tracked .go file, library or bench/.
+# Listing tracked files keeps untracked build output (.bench_build/)
+# out of the check.
+fmt:
+	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -163,4 +171,4 @@ load:
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-ci: build vet vet-bench race test64 fuzz alloc api ct chaos serve-smoke
+ci: build fmt vet vet-bench race test64 fuzz alloc api ct chaos serve-smoke

@@ -69,7 +69,7 @@ func TestPublicBatchAPI(t *testing.T) {
 		if sigs[i].Err != nil {
 			t.Fatalf("digest %d: %v", i, sigs[i].Err)
 		}
-		if !Verify(priv.PublicKey().Point(), digests[i], &sigs[i].Sig) {
+		if !priv.PublicKey().Verify(digests[i], &sigs[i].Sig) {
 			t.Fatalf("digest %d: batch signature does not verify", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestPublicBatchAPI(t *testing.T) {
 		t.Fatal("engine SharedSecretKey diverged from SharedSecret")
 	}
 	sig, err := e.Sign(priv, digests[0], rnd)
-	if err != nil || !Verify(priv.PublicKey().Point(), digests[0], sig) {
+	if err != nil || !priv.PublicKey().Verify(digests[0], sig) {
 		t.Fatal("engine signature does not verify")
 	}
 	// SignKey produces verifiable DER over the same kernel.

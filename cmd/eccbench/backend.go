@@ -13,12 +13,12 @@ import (
 	"repro/internal/tables"
 )
 
-// The backend command reports host-side timings of the three field
-// backends next to each other: the paper-faithful 8x32-bit reference,
-// the portable 4x64-bit fast path, and the PCLMULQDQ carry-less
-// multiply path, at the field level (mul/sqr/inv) and at the protocol
-// level (kP, kG, verify). On hardware without CLMUL the third column
-// prints "-".
+// The backend command reports host-side timings of the two field
+// backends next to each other — the portable 4x64-bit fast path and the
+// PCLMULQDQ carry-less multiply path — at the field level (mul/sqr/inv)
+// and at the protocol level (kP, kG, verify). The field rows also time
+// the paper-faithful 8x32-bit routines. On hardware without CLMUL the
+// clmul column prints "-".
 
 // hostBench measures f's per-call wall time, growing the iteration
 // count until the sample is long enough to trust.
@@ -92,24 +92,19 @@ func backend() error {
 			hostBench(func() { x, _ = gf233.InvEEA(x) }),
 			hostBench(func() { x64, _ = gf233.Inv64(x64) }),
 			clmulBench(func() { x64, _ = gf233.InvItohTsujii64(x64) })},
-		{"kP (wTNAF w=4)",
-			hostBench(withBackend(gf233.Backend32, func() { core.ScalarMult(k, g) })),
+		{"kP (wTNAF w=4)", 0,
 			hostBench(withBackend(gf233.Backend64, func() { core.ScalarMult(k, g) })),
 			clmulBench(withBackend(gf233.BackendCLMUL, func() { core.ScalarMult(k, g) }))},
-		{"kG (wTNAF w=6)",
-			hostBench(withBackend(gf233.Backend32, func() { core.ScalarBaseMultTNAF(k) })),
+		{"kG (wTNAF w=6)", 0,
 			hostBench(withBackend(gf233.Backend64, func() { core.ScalarBaseMultTNAF(k) })),
 			clmulBench(withBackend(gf233.BackendCLMUL, func() { core.ScalarBaseMultTNAF(k) }))},
-		{"kG (comb w=8)",
-			hostBench(withBackend(gf233.Backend32, func() { core.ScalarBaseMult(k) })),
+		{"kG (comb w=8)", 0,
 			hostBench(withBackend(gf233.Backend64, func() { core.ScalarBaseMult(k) })),
 			clmulBench(withBackend(gf233.BackendCLMUL, func() { core.ScalarBaseMult(k) }))},
-		{"verify (separate, seed)",
-			hostBench(withBackend(gf233.Backend32, func() { sign.VerifySeparate(vpriv.Public, vdigest[:], vsig) })),
+		{"verify (separate, seed)", 0,
 			hostBench(withBackend(gf233.Backend64, func() { sign.VerifySeparate(vpriv.Public, vdigest[:], vsig) })),
 			clmulBench(withBackend(gf233.BackendCLMUL, func() { sign.VerifySeparate(vpriv.Public, vdigest[:], vsig) }))},
-		{"verify (joint ladder)",
-			hostBench(withBackend(gf233.Backend32, func() { sign.Verify(vpriv.Public, vdigest[:], vsig) })),
+		{"verify (joint ladder)", 0,
 			hostBench(withBackend(gf233.Backend64, func() { sign.Verify(vpriv.Public, vdigest[:], vsig) })),
 			clmulBench(withBackend(gf233.BackendCLMUL, func() { sign.Verify(vpriv.Public, vdigest[:], vsig) }))},
 		{"verify (joint, precomputed key)", 0,
@@ -118,7 +113,7 @@ func backend() error {
 	}
 
 	t := tables.New(fmt.Sprintf(
-		"Host backends: 8x32-bit reference vs 4x64-bit vs CLMUL (current: %s, CLMUL hardware: %v).",
+		"Host backends: 4x64-bit vs CLMUL, field rows also 8x32-bit reference (current: %s, CLMUL hardware: %v).",
 		gf233.CurrentBackend(), gf233.HasCLMUL()),
 		"Operation", "32-bit", "64-bit", "clmul", "clmul/64")
 	cell := func(d time.Duration) any {
@@ -134,16 +129,15 @@ func backend() error {
 		}
 		t.Row(r.op, cell(r.b32), cell(r.b64), cell(r.clmul), speedup)
 	}
-	t.Note("The 32-bit rows run the paper-faithful Cortex-M0+ word layout on the")
-	t.Note("host; opcount/codegen always use that layout regardless of backend.")
+	t.Note("The 32-bit cells time the paper-faithful Cortex-M0+ word-layout routines")
+	t.Note("that opcount/codegen instrument; point arithmetic always runs 64-bit.")
 	t.Note("The clmul rows run the PCLMULQDQ assembly (field mul/sqr) and the")
 	t.Note("Itoh-Tsujii chain (field inv); protocol rows pin the whole stack to")
 	t.Note("the named backend via SetBackend.")
 	t.Note("kG comb rows share the fixed-base comb table; the backends differ in")
 	t.Note("the underlying field arithmetic only.")
 	t.Note("verify rows: 'separate' is the seed two-multiplication verifier;")
-	t.Note("'joint' is the interleaved double-scalar ladder (on the 32-bit")
-	t.Note("reference it falls back to the disjoint evaluation); the precomputed")
+	t.Note("'joint' is the interleaved double-scalar ladder; the precomputed")
 	t.Note("row uses a per-key wide-window table (PublicKey.Precompute).")
 	fmt.Print(t)
 	return nil

@@ -83,21 +83,17 @@ func ecqvCmd() error {
 	type row struct {
 		op    string
 		perOp int // ops amortised per call (1, or the batch width)
-		b32   time.Duration
 		b64   time.Duration
 		clmul time.Duration
 	}
 	rows := []row{
 		{"issue (deterministic nonce)", 1,
-			bench(gf233.Backend32, issue),
 			bench(gf233.Backend64, issue),
 			bench(gf233.BackendCLMUL, issue)},
 		{"extract (one-shot)", 1,
-			bench(gf233.Backend32, extract),
 			bench(gf233.Backend64, extract),
 			bench(gf233.BackendCLMUL, extract)},
 		{fmt.Sprintf("extract (batched %d, per cert)", ecqvBatch), ecqvBatch,
-			bench(gf233.Backend32, batched),
 			bench(gf233.Backend64, batched),
 			bench(gf233.BackendCLMUL, batched)},
 	}
@@ -105,7 +101,7 @@ func ecqvCmd() error {
 	t := tables.New(fmt.Sprintf(
 		"ECQV implicit certificates per backend (current: %s, CLMUL hardware: %v).",
 		gf233.CurrentBackend(), gf233.HasCLMUL()),
-		"Operation", "32-bit", "64-bit", "clmul")
+		"Operation", "64-bit", "clmul")
 	cell := func(d time.Duration, per int) any {
 		if d == 0 {
 			return "-"
@@ -113,7 +109,7 @@ func ecqvCmd() error {
 		return d / time.Duration(per)
 	}
 	for _, r := range rows {
-		t.Row(r.op, cell(r.b32, r.perOp), cell(r.b64, r.perOp), cell(r.clmul, r.perOp))
+		t.Row(r.op, cell(r.b64, r.perOp), cell(r.clmul, r.perOp))
 	}
 	one := rows[1]
 	bat := rows[2]

@@ -49,7 +49,7 @@ var (
 	durFlag     = flag.Duration("dur", 2*time.Second, "measurement duration per configuration")
 	workersFlag = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
 	naiveFlag   = flag.Bool("naive", true, "also run the naive per-goroutine baseline")
-	backendFlag = flag.String("backend", "", "pin the field backend: 32, 64 or clmul (default: fastest supported; also settable via GF233_BACKEND)")
+	backendFlag = flag.String("backend", "", "pin the field backend: 64 or clmul (default: fastest supported; also settable via GF233_BACKEND)")
 
 	// Network-mode robustness knobs.
 	netTimeoutFlag = flag.Duration("net-timeout", 5*time.Second, "network mode: per-roundtrip deadline (0 = none)")

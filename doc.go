@@ -22,11 +22,10 @@
 //     τ-adic NAF, fixed point k·G with a precomputed table), the
 //     constant-time Montgomery-ladder variant from the paper's
 //     future-work section, and X9.62 point codecs;
-//   - every pre-redesign function kept as a thin documented wrapper
-//     (compat.go), so code written against the original loose-function
-//     API keeps compiling and behaving identically (the README's
-//     migration table lists the two deliberate breaks: the priv.Public
-//     field and the old NewBatchEngine signature).
+//   - two one-shot signing functions that return a raw *Signature,
+//     [Sign] and [SignDeterministic]. The other pre-redesign loose
+//     functions are removed; the README's migration table gives the
+//     key method that replaces each.
 //
 // The reproduction substrates live under internal/: the F_2^233 field
 // with the paper's "López-Dahab with fixed registers" multiplication
@@ -56,14 +55,16 @@
 // and "Verification performance" sections for the contracts and
 // numbers, and cmd/eccload for the load harness.
 //
-// Field arithmetic comes in two backends selected at package level in
-// internal/gf233: the paper-faithful 8x32-bit Cortex-M0+ layout (the
-// reference that opcount/codegen instrument and compile for the
-// simulator) and a host-optimized 4x64-bit layout, the default on
-// 64-bit hosts, with 64-bit-native LD point arithmetic underneath the
-// hot loops. The backends are bit-identical — differential fuzz
-// targets in internal/gf233 enforce it — so this package's results
-// never depend on the selection, only its speed does. Fixed-point
+// Host field arithmetic runs on the 4x64-bit layout, with
+// 64-bit-native LD point arithmetic underneath the hot loops, in one of
+// two backends selected at package level in internal/gf233: portable
+// pure Go, or PCLMULQDQ where the CPU has it. The paper-faithful
+// 8x32-bit Cortex-M0+ routines are not a host backend; opcount and
+// codegen instrument and compile them for the simulator by name, and
+// the tests use them as oracles. The backends are bit-identical —
+// differential fuzz targets in internal/gf233 enforce it — so this
+// package's results never depend on the selection, only its speed
+// does. Fixed-point
 // multiplication (ScalarBaseMult, GenerateKey) additionally uses a
 // Lim-Lee comb table for the generator; the paper's wTNAF w=6 method
 // remains available as internal/core.ScalarBaseMultTNAF.

@@ -110,7 +110,7 @@ func TestCertForgeryRegression(t *testing.T) {
 	// Compressed encodings of (0,1), (1,0), (1,1): x with the ỹ bit 0/1.
 	torsion := make([][]byte, 0, 6)
 	for _, enc := range [][]byte{
-		append([]byte{0x02}, make([]byte, 30)...), // x = 0
+		append([]byte{0x02}, make([]byte, 30)...),                                               // x = 0
 		func() []byte { b := append([]byte{0x02}, make([]byte, 30)...); b[30] = 1; return b }(), // x = 1
 	} {
 		torsion = append(torsion, enc)

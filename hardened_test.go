@@ -26,7 +26,7 @@ func hardenedBackends(t *testing.T) []gf233.Backend {
 	t.Helper()
 	prev := gf233.CurrentBackend()
 	t.Cleanup(func() { gf233.SetBackend(prev) })
-	backends := []gf233.Backend{gf233.Backend32, gf233.Backend64}
+	backends := []gf233.Backend{gf233.Backend64}
 	if gf233.Supported(gf233.BackendCLMUL) {
 		backends = append(backends, gf233.BackendCLMUL)
 	}

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -42,11 +41,11 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := MarshalPrivateKey(key)
+	blob := key.Bytes()
 	if len(blob) != PrivateKeySize {
 		t.Fatalf("blob length %d", len(blob))
 	}
-	back, err := ParsePrivateKey(blob)
+	back, err := NewPrivateKey(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,38 +53,15 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Fatal("round trip changed the key")
 	}
 	// Invalid encodings.
-	if _, err := ParsePrivateKey(nil); err == nil {
+	if _, err := NewPrivateKey(nil); err == nil {
 		t.Error("nil blob accepted")
 	}
-	if _, err := ParsePrivateKey(make([]byte, PrivateKeySize)); err == nil {
+	if _, err := NewPrivateKey(make([]byte, PrivateKeySize)); err == nil {
 		t.Error("zero scalar accepted")
 	}
 	big := Order().FillBytes(make([]byte, PrivateKeySize))
-	if _, err := ParsePrivateKey(big); err == nil {
+	if _, err := NewPrivateKey(big); err == nil {
 		t.Error("scalar >= n accepted")
-	}
-}
-
-// TestHybridEndToEnd exercises the full WSN message path through the
-// public API: seal on the node, open at the base station.
-func TestHybridEndToEnd(t *testing.T) {
-	rnd := rand.New(rand.NewSource(2))
-	station, _ := GenerateKey(rnd)
-	report := []byte("node-03 t=19.8C rh=61% batt=77%")
-	wire, err := Seal(rnd, station.PublicKey().Point(), report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(station, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, report) {
-		t.Fatal("hybrid round trip changed the report")
-	}
-	wire[len(wire)-1] ^= 1
-	if _, err := Open(station, wire); err == nil {
-		t.Fatal("tampered message accepted")
 	}
 }
 

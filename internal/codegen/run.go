@@ -54,15 +54,6 @@ func NewRoutine(src, label string) (*Routine, error) {
 	return &Routine{prog: prog, entry: entry, name: label}, nil
 }
 
-// MustRoutine is NewRoutine for generated sources; it panics on error.
-func MustRoutine(src, label string) *Routine {
-	r, err := NewRoutine(src, label)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Name returns the routine's entry label.
 func (r *Routine) Name() string { return r.name }
 

@@ -118,11 +118,6 @@ func TestAlphaTablesMatchOracle(t *testing.T) {
 			tag := fmt.Sprintf("w=%d input %d", w, i)
 			fb := NewFixedBase(p, w)
 			sameTable(t, tag+" NewFixedBase.table64", to32(fb.table64), want)
-			if w <= koblitz.MaxW {
-				sameTable(t, tag+" NewFixedBase.table", fb.table, want)
-			} else if fb.table != nil {
-				t.Fatalf("%s: wide table keeps a 32-bit view", tag)
-			}
 			sameTable(t, tag+" Scratch.alphaTable", to32(s.alphaTable(p64[i], w)), want)
 			sameTable(t, tag+" batch slice", to32(batch[i*tw:(i+1)*tw]), want)
 		}

@@ -49,17 +49,6 @@ func (s *Scratch) ScalarMultBatchLD64(dst []ec.LD64, ks []*big.Int, ps []ec.Affi
 			continue
 		}
 		digits := s.rec.Recode(ks[i], WRandom)
-		table := tab[tw*i : tw*(i+1)]
-		q := ec.LD64Infinity
-		for j := len(digits) - 1; j >= 0; j-- {
-			q = q.Frobenius()
-			switch d := digits[j]; {
-			case d > 0:
-				q = q.AddMixed(table[d>>1])
-			case d < 0:
-				q = q.SubMixed(table[(-d)>>1])
-			}
-		}
-		dst[i] = q
+		dst[i] = scalarMultDigits64(digits, tab[tw*i:tw*(i+1)])
 	}
 }

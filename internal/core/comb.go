@@ -138,30 +138,12 @@ func (c *Comb) TableSize() int { return len(c.table) }
 // reduced modulo the group order, which is both a correctness condition
 // for the comb's column decomposition and what makes negative and
 // oversized scalars behave like the reference ladder. The table is
-// frozen at construction, so concurrent calls are safe; on the 64-bit
-// backend the evaluation runs on a pooled Scratch and allocates
-// nothing.
+// frozen at construction, so concurrent calls are safe; the evaluation
+// runs on a pooled Scratch and allocates nothing.
 func (c *Comb) ScalarMult(k *big.Int) ec.Affine {
-	if c.point.Inf {
-		return ec.Infinity
-	}
-	if gf233.CurrentBackend() != gf233.Backend32 {
-		s := getScratch()
-		defer putScratch(s)
-		return c.scalarMultLD64(s, k).Affine().Affine()
-	}
-	r := new(big.Int).Mod(k, ec.Order)
-	if r.Sign() == 0 {
-		return ec.Infinity
-	}
-	q := ec.LDInfinity
-	for col := c.d - 1; col >= 0; col-- {
-		q = q.Double()
-		if u := c.column(r, col); u != 0 {
-			q = q.AddMixed(c.table[u-1])
-		}
-	}
-	return q.Affine()
+	s := getScratch()
+	defer putScratch(s)
+	return c.scalarMultLD64(s, k).Affine().Affine()
 }
 
 // column assembles the comb column pattern for bit position col: bit i

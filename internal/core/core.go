@@ -35,11 +35,11 @@ const (
 // points for w = 6, 4 points for w = 4). The table entries are returned
 // in affine coordinates so the main loop can use mixed addition.
 //
-// It is the paper-faithful 32-bit reference that codegen, profile and
-// the Backend32 paths consume, and the oracle every host table is
-// tested against. Host tables come from Scratch.alphaTables, one
-// affine addition per entry: 0.12 ms at w = 10 where this ladder
-// construction takes ~1.4 ms (BenchmarkAlphaTable, 2-vCPU Xeon VM).
+// It is the paper-faithful 32-bit reference that codegen and profile
+// consume, and the oracle every host table is tested against. Host
+// tables come from Scratch.alphaTables, one affine addition per entry:
+// 0.12 ms at w = 10 where this ladder construction takes ~1.4 ms
+// (BenchmarkAlphaTable, 2-vCPU Xeon VM).
 func AlphaPoints(p ec.Affine, w int) []ec.Affine {
 	alphas := koblitz.Alpha(w)
 	tp := p.Frobenius()
@@ -96,41 +96,12 @@ func alphaPointLD(al koblitz.ZTau, p, tp, sum, dif ec.Affine) ec.LD {
 	return r
 }
 
-// scalarMultDigits evaluates Σ ξ_i τ^i applied to the precomputed table
-// with a left-to-right Horner loop over the recoded digits: the
+// scalarMultDigits64 evaluates Σ ξ_i τ^i applied to the precomputed
+// table with a left-to-right Horner loop over the recoded digits: the
 // accumulator is hit with the (cheap) Frobenius once per digit and a
-// mixed LD-affine addition once per nonzero digit. On the 64-bit field
-// backend the whole loop runs on 64-bit-native point arithmetic; the
-// table conversion is a handful of word repacks, paid once per call.
-func scalarMultDigits(digits []int8, table []ec.Affine) ec.Affine {
-	if gf233.CurrentBackend() != gf233.Backend32 {
-		t64 := make([]ec.Affine64, len(table))
-		for i, p := range table {
-			t64[i] = p.To64()
-		}
-		return scalarMultDigits64(digits, t64)
-	}
-	return scalarMultDigits32(digits, table)
-}
-
-// scalarMultDigits32 runs the Horner loop on the 32-bit reference
-// point arithmetic.
-func scalarMultDigits32[T koblitz.Digit](digits []T, table []ec.Affine) ec.Affine {
-	q := ec.LDInfinity
-	for i := len(digits) - 1; i >= 0; i-- {
-		q = q.Frobenius()
-		switch d := digits[i]; {
-		case d > 0:
-			q = q.AddMixed(table[d>>1])
-		case d < 0:
-			q = q.SubMixed(table[(-d)>>1])
-		}
-	}
-	return q.Affine()
-}
-
-// scalarMultDigits64 is the 64-bit-native twin of the loop above.
-func scalarMultDigits64[T koblitz.Digit](digits []T, table []ec.Affine64) ec.Affine {
+// mixed LD-affine addition once per nonzero digit. The result is left
+// projective so batch callers can share the final inversion.
+func scalarMultDigits64[T koblitz.Digit](digits []T, table []ec.Affine64) ec.LD64 {
 	q := ec.LD64Infinity
 	for i := len(digits) - 1; i >= 0; i-- {
 		q = q.Frobenius()
@@ -141,7 +112,7 @@ func scalarMultDigits64[T koblitz.Digit](digits []T, table []ec.Affine64) ec.Aff
 			q = q.SubMixed(table[(-d)>>1])
 		}
 	}
-	return q.Affine().Affine()
+	return q
 }
 
 // ScalarMult computes k·P with the paper's random-point method: partial
@@ -157,22 +128,16 @@ func ScalarMult(k *big.Int, p ec.Affine) ec.Affine {
 }
 
 // ScalarMultW is ScalarMult with an explicit window width w ∈ [2, 8],
-// used by the window-width ablation bench. On the 64-bit backend it
-// runs on a pooled Scratch — recoding, table build and evaluation all
-// reuse per-P steady-state buffers, so the call is allocation-free.
+// used by the window-width ablation bench. It runs on a pooled
+// Scratch — recoding, table build and evaluation all reuse per-P
+// steady-state buffers, so the call is allocation-free.
 func ScalarMultW(k *big.Int, p ec.Affine, w int) ec.Affine {
 	if p.Inf || k.Sign() == 0 {
 		return ec.Infinity
 	}
-	if gf233.CurrentBackend() != gf233.Backend32 {
-		s := getScratch()
-		defer putScratch(s)
-		return s.scalarMultW(k, p, w)
-	}
-	rho := koblitz.PartMod(k)
-	digits := koblitz.WTNAF(rho, w)
-	table := AlphaPoints(p, w)
-	return scalarMultDigits(digits, table)
+	s := getScratch()
+	defer putScratch(s)
+	return s.scalarMultW(k, p, w)
 }
 
 // FixedBase holds the per-point precomputation for fixed-point
@@ -180,31 +145,20 @@ func ScalarMultW(k *big.Int, p ec.Affine, w int) ec.Affine {
 // multiplications (which is why the "TNAF Precomputation" row of
 // Table 7 is zero for kG).
 type FixedBase struct {
-	w     int
-	point ec.Affine
-	table []ec.Affine
-	// table64 is the table the 64-bit loops read; table is its 32-bit
-	// view for the reference backend, nil for w > koblitz.MaxW.
+	w       int
+	point   ec.Affine
 	table64 []ec.Affine64
 }
 
 // NewFixedBase builds the width-w precomputation for p through
-// Scratch.alphaTables in the 64-bit representation; the 32-bit view
-// is a conversion of that table. Wide tables (w > koblitz.MaxW) exist for
-// the joint verifier's 64-bit evaluation only, so they carry no 32-bit
-// view — for a server precomputing per-key verification tables that
-// halves the retained memory.
+// Scratch.alphaTables in the 64-bit representation. Widths past
+// koblitz.MaxW (up to MaxWide) serve the joint verifier's per-key
+// tables.
 func NewFixedBase(p ec.Affine, w int) *FixedBase {
 	s := getScratch()
 	defer putScratch(s)
 	fb := &FixedBase{w: w, point: p}
 	s.alphaTables(&fb.table64, []ec.Affine64{p.To64()}, w)
-	if w <= koblitz.MaxW {
-		fb.table = make([]ec.Affine, len(fb.table64))
-		for i, q := range fb.table64 {
-			fb.table[i] = q.Affine()
-		}
-	}
 	return fb
 }
 
@@ -219,34 +173,19 @@ func (fb *FixedBase) TableSize() int { return len(fb.table64) }
 
 // ScalarMult computes k·P for the fixed point using the precomputed
 // table. The table is frozen at construction, so concurrent calls are
-// safe; on the 64-bit backend the recoding runs on a pooled Scratch
-// and the call is allocation-free. Wide tables (w > koblitz.MaxW, the
-// joint verifier's) evaluate through the int16 recoding pipeline on
-// the 64-bit backend and through the generic per-call path on the
-// 32-bit reference.
+// safe; the recoding runs on a pooled Scratch and the call is
+// allocation-free. Wide tables (w > koblitz.MaxW, the joint
+// verifier's) evaluate through the int16 recoding pipeline.
 func (fb *FixedBase) ScalarMult(k *big.Int) ec.Affine {
 	if fb.point.Inf || k.Sign() == 0 {
 		return ec.Infinity
 	}
-	if gf233.CurrentBackend() != gf233.Backend32 {
-		s := getScratch()
-		defer putScratch(s)
-		if fb.w > koblitz.MaxW {
-			digits := s.rec.RecodeWide(k, fb.w)
-			return scalarMultDigits64(digits, fb.table64)
-		}
-		digits := s.rec.Recode(k, fb.w)
-		return scalarMultDigits64(digits, fb.table64)
-	}
+	s := getScratch()
+	defer putScratch(s)
 	if fb.w > koblitz.MaxW {
-		// The int8 WTNAF cannot express wide digits; the reference
-		// backend answers through the ordinary per-call method instead
-		// (identical results, it just ignores the table).
-		return ScalarMult(k, fb.point)
+		return scalarMultDigits64(s.rec.RecodeWide(k, fb.w), fb.table64).Affine().Affine()
 	}
-	rho := koblitz.PartMod(k)
-	digits := koblitz.WTNAF(rho, fb.w)
-	return scalarMultDigits32(digits, fb.table)
+	return scalarMultDigits64(s.rec.Recode(k, fb.w), fb.table64).Affine().Affine()
 }
 
 // ScalarBaseMult computes k·G for the generator. On the host it runs

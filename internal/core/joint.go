@@ -4,7 +4,6 @@ import (
 	"math/big"
 
 	"repro/internal/ec"
-	"repro/internal/gf233"
 )
 
 // Joint double-scalar multiplication u1·G + u2·Q — the ECDSA
@@ -120,27 +119,19 @@ func (s *Scratch) jointGen(u1 *big.Int, d2 []int16, t2 []ec.Affine64) ec.LD64 {
 	return jointLD64(d1, t1, d2, t2)
 }
 
-// JointScalarMult computes u1·G + u2·Q with the interleaved ladder on
-// the 64-bit backend (one final inversion, allocation-free on a pooled
-// Scratch). On the 32-bit reference backend it falls back to the
-// disjoint reference evaluation — the two backends stay bit-identical
-// either way. Q must lie in the prime-order subgroup.
+// JointScalarMult computes u1·G + u2·Q with the interleaved ladder
+// (one final inversion, allocation-free on a pooled Scratch). Q must
+// lie in the prime-order subgroup.
 func JointScalarMult(u1, u2 *big.Int, q ec.Affine) ec.Affine {
-	if gf233.CurrentBackend() != gf233.Backend32 {
-		s := getScratch()
-		defer putScratch(s)
-		return s.JointScalarMultLD64(u1, u2, q).Affine().Affine()
-	}
-	return ScalarBaseMult(u1).Add(ScalarMult(u2, q))
+	s := getScratch()
+	defer putScratch(s)
+	return s.JointScalarMultLD64(u1, u2, q).Affine().Affine()
 }
 
 // JointScalarMultFixed is JointScalarMult over a precomputed table for
 // Q. The table's point is Q; its width sets the u2 recoding width.
 func JointScalarMultFixed(u1, u2 *big.Int, fb *FixedBase) ec.Affine {
-	if gf233.CurrentBackend() != gf233.Backend32 {
-		s := getScratch()
-		defer putScratch(s)
-		return s.JointScalarMultFixedLD64(u1, u2, fb).Affine().Affine()
-	}
-	return ScalarBaseMult(u1).Add(ScalarMult(u2, fb.point))
+	s := getScratch()
+	defer putScratch(s)
+	return s.JointScalarMultFixedLD64(u1, u2, fb).Affine().Affine()
 }

@@ -46,7 +46,7 @@ func TestJointScalarMultMatchesSeparate(t *testing.T) {
 	q := qk.Public
 	fb := NewFixedBase(q, WPrecomp)
 	cases := jointCases(rnd, 6)
-	for _, bk := range []gf233.Backend{gf233.Backend32, gf233.Backend64, gf233.BackendCLMUL} {
+	for _, bk := range []gf233.Backend{gf233.Backend64, gf233.BackendCLMUL} {
 		prev := gf233.SetBackend(bk)
 		for _, u1 := range cases {
 			for _, u2 := range cases {
@@ -99,7 +99,7 @@ func TestFixedBaseWideScalarMult(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			k := new(big.Int).Rand(rnd, ec.Order)
 			want := ec.ScalarMultGeneric(k, qk.Public)
-			for _, bk := range []gf233.Backend{gf233.Backend32, gf233.Backend64, gf233.BackendCLMUL} {
+			for _, bk := range []gf233.Backend{gf233.Backend64, gf233.BackendCLMUL} {
 				prev := gf233.SetBackend(bk)
 				got := fb.ScalarMult(k)
 				gf233.SetBackend(prev)

@@ -23,11 +23,11 @@ import (
 
 // montK holds the public Montgomery constants for n, computed once.
 var montK struct {
-	once   sync.Once
-	n0inv  uint64 // −n⁻¹ mod 2^64
-	rr     words4 // R² mod n, R = 2^256
-	oneM   words4 // R mod n (1 in Montgomery form)
-	nm2    words4 // n − 2, the Fermat exponent (public)
+	once  sync.Once
+	n0inv uint64 // −n⁻¹ mod 2^64
+	rr    words4 // R² mod n, R = 2^256
+	oneM  words4 // R mod n (1 in Montgomery form)
+	nm2   words4 // n − 2, the Fermat exponent (public)
 }
 
 func montInit() {

@@ -25,11 +25,10 @@ import (
 //   - first use under concurrency is safe: racing goroutines block on
 //     the Once and then observe the fully built table (the 32-way
 //     -race tests in internal/engine pin this down);
-//   - the tables hold BOTH field representations (Comb/FixedBase carry
-//     table and table64, built eagerly inside the Once), so
-//     gf233.SetBackend mid-flight never tears a table: backend
-//     selection only chooses which frozen view readers consult, and
-//     the two backends are bit-identical.
+//   - the tables are in the 64-bit representation both field backends
+//     read, so gf233.SetBackend mid-flight never tears a table: backend
+//     selection only chooses the field arithmetic, and the two backends
+//     are bit-identical.
 //
 // tableRegistry is a type (rather than bare package globals) so the
 // race tests can hammer first-use initialisation on fresh instances;

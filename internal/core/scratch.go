@@ -222,9 +222,9 @@ func abs64(v int64) uint64 {
 	return uint64(v)
 }
 
-// ScalarMult computes k·P with the paper's random-point method on the
-// 64-bit backend, using only this Scratch's buffers. Semantics match
-// core.ScalarMult (P must lie in the prime-order subgroup).
+// ScalarMult computes k·P with the paper's random-point method, using
+// only this Scratch's buffers. Semantics match core.ScalarMult (P must
+// lie in the prime-order subgroup).
 func (s *Scratch) ScalarMult(k *big.Int, p ec.Affine) ec.Affine {
 	return s.scalarMultW(k, p, WRandom)
 }
@@ -245,18 +245,7 @@ func (s *Scratch) scalarMultLD64W(k *big.Int, p ec.Affine, w int) ec.LD64 {
 		return ec.LD64Infinity
 	}
 	digits := s.rec.Recode(k, w)
-	table := s.alphaTable(p.To64(), w)
-	q := ec.LD64Infinity
-	for i := len(digits) - 1; i >= 0; i-- {
-		q = q.Frobenius()
-		switch d := digits[i]; {
-		case d > 0:
-			q = q.AddMixed(table[d>>1])
-		case d < 0:
-			q = q.SubMixed(table[(-d)>>1])
-		}
-	}
-	return q
+	return scalarMultDigits64(digits, s.alphaTable(p.To64(), w))
 }
 
 // ScalarBaseMult computes k·G on the generator comb using this

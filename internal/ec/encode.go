@@ -8,8 +8,8 @@ import (
 
 // Point encoding per X9.62/SEC 1 conventions for binary curves. The WSN
 // application the paper targets transmits public keys over the radio, so
-// the 31-byte compressed encoding (vs 61 uncompressed) is the format the
-// hybrid-cryptosystem examples use.
+// the 31-byte compressed encoding (vs 61 uncompressed) is the format of
+// the module's own wire protocols.
 
 // Encoding prefixes.
 const (

@@ -5,9 +5,9 @@ import "repro/internal/gf233"
 // 64-bit-native point arithmetic: the same LD/mixed-affine formulas as
 // ld.go, expressed directly over gf233.Elem64 so the point-
 // multiplication hot loops (internal/core) never pay a per-field-op
-// representation conversion when the 64-bit backend is selected. The
-// formulas are ports, not variants — the differential tests in
-// ec_test.go hold them bit-identical to the 32-bit reference path.
+// representation conversion. The formulas are ports, not variants —
+// the differential tests in ec_test.go hold them bit-identical to the
+// 32-bit reference path.
 
 // Affine64 is an affine point over the 64-bit field representation.
 // The point at infinity is represented explicitly by Inf.

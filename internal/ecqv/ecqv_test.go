@@ -46,7 +46,7 @@ func issueFor(t *testing.T, rnd *rand.Rand, ca *CA, identity []byte) (*Cert, *co
 func TestRoundTrip(t *testing.T) {
 	prev := gf233.CurrentBackend()
 	defer gf233.SetBackend(prev)
-	for _, b := range []gf233.Backend{gf233.Backend32, gf233.Backend64, gf233.BackendCLMUL} {
+	for _, b := range []gf233.Backend{gf233.Backend64, gf233.BackendCLMUL} {
 		if !gf233.Supported(b) {
 			continue
 		}

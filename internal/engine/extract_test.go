@@ -107,7 +107,7 @@ func TestBatchExtractBackends(t *testing.T) {
 	out := make([]ExtractResult, len(pts))
 	prev := gf233.CurrentBackend()
 	defer gf233.SetBackend(prev)
-	for _, bk := range []gf233.Backend{gf233.Backend32, gf233.Backend64, gf233.BackendCLMUL} {
+	for _, bk := range []gf233.Backend{gf233.Backend64, gf233.BackendCLMUL} {
 		if !gf233.Supported(bk) {
 			continue
 		}
@@ -178,7 +178,7 @@ func TestConcurrentBatchExtract(t *testing.T) {
 		defer togglers.Done()
 		prev := gf233.CurrentBackend()
 		defer gf233.SetBackend(prev)
-		cycle := []gf233.Backend{gf233.Backend32, gf233.Backend64, gf233.BackendCLMUL}
+		cycle := []gf233.Backend{gf233.Backend64, gf233.BackendCLMUL}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:

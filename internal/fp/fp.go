@@ -1,85 +1,16 @@
-// Package fp implements the prime-field arithmetic of the curves the
+// Package fp models the prime-field arithmetic of the curves the
 // paper's §3.1 selection model weighs against binary Koblitz curves
 // (and that the Micro ECC comparison rows of Table 4 use): secp192r1
 // and secp256r1.
 //
-// Field values are big integers reduced modulo P; arithmetic uses
-// math/big for correctness. The package also provides the word-level
-// operation analysis of Comba (product-scanning) multiplication on a
-// Cortex-M0+-class core — the input to the §3.1 instruction-mix model.
-// The M0+ detail that matters: its MULS instruction returns only the
-// low 32 bits of a product, so a full 32×32→64 limb product must be
-// synthesised from four 16×16 multiplications and carry additions,
-// which is exactly why prime-field arithmetic is MUL/ADD-heavy on this
-// core.
+// It provides the word-level operation analysis of Comba
+// (product-scanning) multiplication on a Cortex-M0+-class core — the
+// input to the §3.1 instruction-mix model. The M0+ detail that matters:
+// its MULS instruction returns only the low 32 bits of a product, so a
+// full 32×32→64 limb product must be synthesised from four 16×16
+// multiplications and carry additions, which is exactly why
+// prime-field arithmetic is MUL/ADD-heavy on this core.
 package fp
-
-import (
-	"math/big"
-	"math/rand"
-)
-
-// Field is a prime field F_p.
-type Field struct {
-	Name  string
-	P     *big.Int
-	Limbs int // 32-bit limbs per element
-}
-
-// P192 returns the secp192r1 field (p = 2^192 − 2^64 − 1).
-func P192() *Field {
-	p, _ := new(big.Int).SetString(
-		"fffffffffffffffffffffffffffffffeffffffffffffffff", 16)
-	return &Field{Name: "p192", P: p, Limbs: 6}
-}
-
-// P256 returns the secp256r1 field (p = 2^256 − 2^224 + 2^192 + 2^96 − 1).
-func P256() *Field {
-	p, _ := new(big.Int).SetString(
-		"ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", 16)
-	return &Field{Name: "p256", P: p, Limbs: 8}
-}
-
-// reduce returns v mod P as a fresh integer.
-func (f *Field) reduce(v *big.Int) *big.Int {
-	return new(big.Int).Mod(v, f.P)
-}
-
-// Add returns a + b mod P.
-func (f *Field) Add(a, b *big.Int) *big.Int {
-	return f.reduce(new(big.Int).Add(a, b))
-}
-
-// Sub returns a − b mod P.
-func (f *Field) Sub(a, b *big.Int) *big.Int {
-	return f.reduce(new(big.Int).Sub(a, b))
-}
-
-// Mul returns a·b mod P.
-func (f *Field) Mul(a, b *big.Int) *big.Int {
-	return f.reduce(new(big.Int).Mul(a, b))
-}
-
-// Sqr returns a² mod P.
-func (f *Field) Sqr(a *big.Int) *big.Int { return f.Mul(a, a) }
-
-// Neg returns −a mod P.
-func (f *Field) Neg(a *big.Int) *big.Int {
-	return f.reduce(new(big.Int).Neg(a))
-}
-
-// Inv returns a⁻¹ mod P, or nil for zero.
-func (f *Field) Inv(a *big.Int) *big.Int {
-	if a.Sign() == 0 {
-		return nil
-	}
-	return new(big.Int).ModInverse(a, f.P)
-}
-
-// Rand returns a uniform field element from the given source.
-func (f *Field) Rand(rnd *rand.Rand) *big.Int {
-	return new(big.Int).Rand(rnd, f.P)
-}
 
 // MulOpCounts tallies the word-level operations of one full-width field
 // multiplication (multiply + reduction) on a 32-bit core without a

@@ -1,68 +1,6 @@
 package fp
 
-import (
-	"math/big"
-	"math/rand"
-	"testing"
-)
-
-func TestFieldAxioms(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	for _, f := range []*Field{P192(), P256()} {
-		if !f.P.ProbablyPrime(32) {
-			t.Fatalf("%s: modulus not prime", f.Name)
-		}
-		for i := 0; i < 20; i++ {
-			a, b, c := f.Rand(rnd), f.Rand(rnd), f.Rand(rnd)
-			if f.Add(a, b).Cmp(f.Add(b, a)) != 0 {
-				t.Fatal("add not commutative")
-			}
-			if f.Mul(a, f.Add(b, c)).Cmp(f.Add(f.Mul(a, b), f.Mul(a, c))) != 0 {
-				t.Fatal("not distributive")
-			}
-			if f.Add(a, f.Neg(a)).Sign() != 0 {
-				t.Fatal("a + (-a) != 0")
-			}
-			if f.Sub(a, b).Cmp(f.Add(a, f.Neg(b))) != 0 {
-				t.Fatal("sub inconsistent")
-			}
-			if a.Sign() != 0 {
-				inv := f.Inv(a)
-				if inv == nil || f.Mul(a, inv).Cmp(big.NewInt(1)) != 0 {
-					t.Fatal("bad inverse")
-				}
-			}
-			if f.Sqr(a).Cmp(f.Mul(a, a)) != 0 {
-				t.Fatal("sqr != mul")
-			}
-		}
-		if f.Inv(big.NewInt(0)) != nil {
-			t.Fatal("inverse of zero should be nil")
-		}
-	}
-}
-
-func TestFieldConstants(t *testing.T) {
-	// p192 = 2^192 - 2^64 - 1.
-	want := new(big.Int).Lsh(big.NewInt(1), 192)
-	want.Sub(want, new(big.Int).Lsh(big.NewInt(1), 64))
-	want.Sub(want, big.NewInt(1))
-	if P192().P.Cmp(want) != 0 {
-		t.Error("p192 structure wrong")
-	}
-	// p256 = 2^256 - 2^224 + 2^192 + 2^96 - 1.
-	w := new(big.Int).Lsh(big.NewInt(1), 256)
-	w.Sub(w, new(big.Int).Lsh(big.NewInt(1), 224))
-	w.Add(w, new(big.Int).Lsh(big.NewInt(1), 192))
-	w.Add(w, new(big.Int).Lsh(big.NewInt(1), 96))
-	w.Sub(w, big.NewInt(1))
-	if P256().P.Cmp(w) != 0 {
-		t.Error("p256 structure wrong")
-	}
-	if P192().Limbs != 6 || P256().Limbs != 8 {
-		t.Error("limb counts wrong")
-	}
-}
+import "testing"
 
 func TestCombaCounts(t *testing.T) {
 	c6 := CombaCounts(6)

@@ -2,47 +2,47 @@ package gf233
 
 import (
 	"fmt"
-	"math/bits"
 	"os"
 	"sync/atomic"
 )
 
-// Backend selection. The package carries three complete field-arithmetic
-// implementations:
+// Backend selection. The package carries two host field-arithmetic
+// implementations, both on the 4x64-bit representation:
 //
-//	Backend32    — the paper-faithful reference: 8 32-bit words, the
-//	               Cortex-M0+ layout that internal/opcount and
-//	               internal/codegen instrument and compile to Thumb;
-//	Backend64    — the portable host fast path: 4 64-bit words, windowed
-//	               LD multiplication and mask-cascade squaring in pure Go;
+//	Backend64    — the portable host fast path: windowed LD
+//	               multiplication and mask-cascade squaring in pure Go,
+//	               on any host word size;
 //	BackendCLMUL — the carry-less-multiply fast path: PCLMULQDQ assembly
 //	               for multiplication and squaring plus Itoh–Tsujii
 //	               inversion, selected by default where the CPU supports
 //	               it (amd64 with the PCLMULQDQ feature flag).
 //
-// Dispatch happens at two levels. The generic entry points Mul, Sqr,
-// SqrN and Inv dispatch on the 32-bit representation, so code written
-// against Elem transparently gets the fast path. The 64-bit entry
-// points Mul64, Sqr64, SqrN64 and MustInv64 — the ones internal/ec,
-// internal/core and internal/engine call in their hot loops — dispatch
-// between the windowed-LD and CLMUL implementations themselves, so the
-// whole point-arithmetic stack picks up BackendCLMUL with zero
-// call-site changes. The named variants (MulLDFixed, MulLD64, MulClmul,
-// SqrInterleaved, SqrSpread64, SqrClmul, InvEEA, Inv64,
-// InvItohTsujii64, ...) always run their own implementation regardless
-// of the selection, for benchmarks and differential tests.
+// The paper-faithful 8x32-bit routines (MulLDFixed, SqrInterleaved,
+// InvEEA, ...) are not a backend: internal/opcount and internal/codegen
+// instrument and compile them to Thumb by name, and the tests use them
+// as oracles.
 //
-// All three backends compute bit-identical results — the differential
-// fuzz targets in fuzz64_test.go are the executable statement of that
+// The 64-bit entry points Mul64, Sqr64, SqrN64 and MustInv64 — the ones
+// internal/ec, internal/core and internal/engine call in their hot
+// loops — dispatch between the windowed-LD and CLMUL implementations,
+// so the whole point-arithmetic stack picks up BackendCLMUL with zero
+// call-site changes. The generic entry points Mul, Sqr, SqrN and Inv on
+// Elem convert to the 64-bit representation and call them. The named
+// variants (MulLDFixed, MulLD64, MulClmul, SqrInterleaved, SqrSpread64,
+// SqrClmul, InvEEA, Inv64, InvItohTsujii64, ...) always run their own
+// implementation regardless of the selection, for benchmarks and
+// differential tests.
+//
+// Both backends compute bit-identical results — the differential fuzz
+// targets in fuzz64_test.go are the executable statement of that
 // contract — so switching backends never changes observable behavior,
 // only speed.
 //
 // Selection rules:
 //
 //   - the default is the fastest supported backend: BackendCLMUL where
-//     the CPU probe succeeds, Backend64 on other 64-bit hosts,
-//     Backend32 otherwise;
-//   - the GF233_BACKEND environment variable ("32", "64" or "clmul")
+//     the CPU probe succeeds, Backend64 otherwise;
+//   - the GF233_BACKEND environment variable ("64" or "clmul")
 //     overrides the default at init, so CI and load harnesses can pin a
 //     backend without code changes; a value naming an unsupported
 //     backend (e.g. "clmul" on hardware without PCLMULQDQ) is ignored
@@ -56,10 +56,8 @@ import (
 type Backend uint32
 
 const (
-	// Backend32 is the paper-faithful 8x32-bit reference.
-	Backend32 Backend = iota
 	// Backend64 is the portable 4x64-bit implementation.
-	Backend64
+	Backend64 Backend = iota
 	// BackendCLMUL is the 4x64-bit carry-less-multiply implementation
 	// (PCLMULQDQ assembly plus Itoh–Tsujii inversion). Supported only
 	// where HasCLMUL reports true.
@@ -70,8 +68,6 @@ const (
 // distinct unknown(N) tag for values outside the defined set.
 func (b Backend) String() string {
 	switch b {
-	case Backend32:
-		return "32"
 	case Backend64:
 		return "64"
 	case BackendCLMUL:
@@ -81,19 +77,17 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend maps the conventional short tags ("32", "64", "clmul")
-// back to Backend values — the format of the GF233_BACKEND environment
-// variable and of command-line backend flags.
+// ParseBackend maps the conventional short tags ("64", "clmul") back to
+// Backend values — the format of the GF233_BACKEND environment variable
+// and of command-line backend flags.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "32":
-		return Backend32, nil
 	case "64":
 		return Backend64, nil
 	case "clmul":
 		return BackendCLMUL, nil
 	default:
-		return Backend32, fmt.Errorf("gf233: unknown backend %q (want 32, 64 or clmul)", s)
+		return Backend64, fmt.Errorf("gf233: unknown backend %q (want 64 or clmul)", s)
 	}
 }
 
@@ -101,12 +95,12 @@ func ParseBackend(s string) (Backend, error) {
 // multiply instructions BackendCLMUL is built on.
 func HasCLMUL() bool { return canCLMUL }
 
-// Supported reports whether b can execute on this machine. Backend32
-// and Backend64 are pure Go and always supported; BackendCLMUL needs
-// the hardware probe to succeed.
+// Supported reports whether b can execute on this machine. Backend64
+// is pure Go and always supported; BackendCLMUL needs the hardware
+// probe to succeed.
 func Supported(b Backend) bool {
 	switch b {
-	case Backend32, Backend64:
+	case Backend64:
 		return true
 	case BackendCLMUL:
 		return canCLMUL
@@ -123,10 +117,7 @@ var backend atomic.Uint32
 // backend, overridden by env (the GF233_BACKEND value) when it names a
 // supported one.
 func chooseBackend(env string) Backend {
-	b := Backend32
-	if bits.UintSize == 64 {
-		b = Backend64
-	}
+	b := Backend64
 	if canCLMUL {
 		b = BackendCLMUL
 	}
@@ -170,47 +161,22 @@ func SetBackend(b Backend) Backend {
 	return Backend(backend.Swap(uint32(b)))
 }
 
-// Mul returns a*b. On Backend32 it runs the paper's LD with fixed
-// registers (§4.2.2); otherwise the selected 64-bit multiplier via the
-// dispatching Mul64.
-func Mul(a, b Elem) Elem {
-	if CurrentBackend() != Backend32 {
-		return Mul64(ToElem64(a), ToElem64(b)).Elem()
-	}
-	return MulLDFixed(a, b)
-}
+// Mul returns a*b via the dispatching Mul64.
+func Mul(a, b Elem) Elem { return Mul64(ToElem64(a), ToElem64(b)).Elem() }
 
-// Sqr returns a squared, with the squaring method of the selected
-// backend.
-func Sqr(a Elem) Elem {
-	if CurrentBackend() != Backend32 {
-		return Sqr64(ToElem64(a)).Elem()
-	}
-	return SqrInterleaved(a)
-}
+// Sqr returns a squared via the dispatching Sqr64.
+func Sqr(a Elem) Elem { return Sqr64(ToElem64(a)).Elem() }
 
 // SqrN squares a n times (computes a^(2^n)), a helper for inversion
-// chains and Frobenius powers. On the 64-bit backends the whole chain
-// runs in the 64-bit representation, paying the word-size conversion
-// once.
-func SqrN(a Elem, n int) Elem {
-	if CurrentBackend() != Backend32 {
-		return SqrN64(ToElem64(a), n).Elem()
-	}
-	for i := 0; i < n; i++ {
-		a = SqrInterleaved(a)
-	}
-	return a
-}
+// chains and Frobenius powers. The whole chain runs in the 64-bit
+// representation, paying the word-size conversion once.
+func SqrN(a Elem, n int) Elem { return SqrN64(ToElem64(a), n).Elem() }
 
 // Inv returns a^-1 via the inversion method of the selected backend:
-// extended Euclidean on Backend32 and Backend64, Itoh–Tsujii on
-// BackendCLMUL (where squaring is cheap enough that the multiplicative
-// chain wins). It reports ok=false for the zero element.
+// extended Euclidean on Backend64, Itoh–Tsujii on BackendCLMUL (where
+// squaring is cheap enough that the multiplicative chain wins). It
+// reports ok=false for the zero element.
 func Inv(a Elem) (Elem, bool) {
-	if CurrentBackend() != Backend32 {
-		inv, ok := inv64Dispatch(ToElem64(a))
-		return inv.Elem(), ok
-	}
-	return InvEEA(a)
+	inv, ok := inv64Dispatch(ToElem64(a))
+	return inv.Elem(), ok
 }

@@ -146,10 +146,9 @@ func TestBackendString(t *testing.T) {
 		b    Backend
 		want string
 	}{
-		{Backend32, "32"},
 		{Backend64, "64"},
 		{BackendCLMUL, "clmul"},
-		{Backend(3), "unknown(3)"},
+		{Backend(2), "unknown(2)"},
 		{Backend(97), "unknown(97)"},
 	}
 	for _, c := range cases {
@@ -165,7 +164,7 @@ func TestParseBackend(t *testing.T) {
 		want Backend
 		ok   bool
 	}{
-		{"32", Backend32, true},
+		{"32", 0, false},
 		{"64", Backend64, true},
 		{"clmul", BackendCLMUL, true},
 		{"", 0, false},
@@ -189,8 +188,8 @@ func TestChooseBackend(t *testing.T) {
 	if !HasCLMUL() && def == BackendCLMUL {
 		t.Error("default backend is clmul without hardware support")
 	}
-	if got := chooseBackend("32"); got != Backend32 {
-		t.Errorf("chooseBackend(32) = %v", got)
+	if got := chooseBackend("32"); got != def {
+		t.Errorf("chooseBackend(32) = %v, want default %v", got, def)
 	}
 	if got := chooseBackend("64"); got != Backend64 {
 		t.Errorf("chooseBackend(64) = %v", got)

@@ -14,8 +14,8 @@
 // Alongside the 32-bit reference the package carries two host backends
 // on a 4x64-bit representation — a portable windowed-LD path and a
 // PCLMULQDQ carry-less-multiply path with Itoh–Tsujii inversion —
-// selected at package level; backend.go documents the three-backend
-// matrix, the dispatch contract and the fallback rules.
+// selected at package level; backend.go documents the two backends,
+// the dispatch contract and the fallback rules.
 package gf233
 
 import (

@@ -167,33 +167,43 @@ func TestInv64VsReference(t *testing.T) {
 	}
 }
 
+// TestBackendDispatch pins the generic Elem entry points to the named
+// 32-bit oracles on every supported backend.
 func TestBackendDispatch(t *testing.T) {
-	prev := SetBackend(Backend32)
+	prev := CurrentBackend()
 	defer SetBackend(prev)
-	if CurrentBackend() != Backend32 {
-		t.Fatal("SetBackend(Backend32) did not take")
-	}
 	rnd := rand.New(rand.NewSource(69))
 	a, b := randElem(rnd), randElem(rnd)
-	mul32, sqr32 := Mul(a, b), Sqr(a)
-	sqrn32 := SqrN(a, 5)
-	inv32, _ := Inv(a)
-	if got := SetBackend(Backend64); got != Backend32 {
-		t.Fatalf("SetBackend returned %v, want Backend32", got)
+	sqrn := a
+	for i := 0; i < 5; i++ {
+		sqrn = SqrInterleaved(sqrn)
 	}
-	if got := Mul(a, b); got != mul32 {
-		t.Fatalf("Mul differs across backends: %v vs %v", got, mul32)
-	}
-	if got := Sqr(a); got != sqr32 {
-		t.Fatalf("Sqr differs across backends: %v vs %v", got, sqr32)
-	}
-	if got := SqrN(a, 5); got != sqrn32 {
-		t.Fatalf("SqrN differs across backends: %v vs %v", got, sqrn32)
-	}
-	if got, _ := Inv(a); got != inv32 {
-		t.Fatalf("Inv differs across backends: %v vs %v", got, inv32)
-	}
-	if Backend32.String() != "32" || Backend64.String() != "64" {
-		t.Fatal("Backend.String mismatch")
+	inv, _ := InvEEA(a)
+	for _, bk := range []Backend{Backend64, BackendCLMUL} {
+		if !Supported(bk) {
+			continue
+		}
+		last := CurrentBackend()
+		if got := SetBackend(bk); got != last {
+			t.Fatalf("SetBackend returned %v, want previous %v", got, last)
+		}
+		if CurrentBackend() != bk {
+			t.Fatalf("SetBackend(%v) did not take", bk)
+		}
+		if got, want := Mul(a, b), MulLDFixed(a, b); got != want {
+			t.Fatalf("%v: Mul = %v, want MulLDFixed %v", bk, got, want)
+		}
+		if got, want := Sqr(a), SqrInterleaved(a); got != want {
+			t.Fatalf("%v: Sqr = %v, want SqrInterleaved %v", bk, got, want)
+		}
+		if got := SqrN(a, 5); got != sqrn {
+			t.Fatalf("%v: SqrN = %v, want 5x SqrInterleaved %v", bk, got, sqrn)
+		}
+		if got, ok := Inv(a); !ok || got != inv {
+			t.Fatalf("%v: Inv = %v, %v, want InvEEA %v", bk, got, ok, inv)
+		}
+		if _, ok := Inv(Zero); ok {
+			t.Fatalf("%v: Inv(0) reported ok", bk)
+		}
 	}
 }

@@ -53,8 +53,7 @@ func addShl(dst, src *[NumWords]uint32, j, limit int) {
 
 // InvEEA returns a^-1 in F_2^233 via the extended Euclidean algorithm
 // on the 32-bit reference representation. It reports ok=false for the
-// zero element, which has no inverse. The generic Inv entry point
-// (backend.go) dispatches here on Backend32.
+// zero element, which has no inverse.
 func InvEEA(a Elem) (inv Elem, ok bool) {
 	if a.IsZero() {
 		return Zero, false

@@ -51,14 +51,14 @@ type ct3 [3]uint64
 // ctConsts holds the public precomputed constants of the constant-time
 // partial reduction, all derived from δ once.
 type ctConsts struct {
-	cA, cB         [2]uint64 // |conj(δ).A|, |conj(δ).B|
-	cAneg, cBneg   uint64    // all-ones masks: coordinate is negative
-	dA, dB         [2]uint64 // |δ.A|, |δ.B|
-	dAneg, dBneg   uint64
-	base           [6]uint64 // n + 2^(ctOffExp+1)·n: den + OFF·2den
-	twoN           [6]uint64 // 2n, zero-extended
-	rbar           [3]uint64 // floor(2^384 / 2n), the Barrett reciprocal
-	off            [3]uint64 // 2^ctOffExp
+	cA, cB       [2]uint64 // |conj(δ).A|, |conj(δ).B|
+	cAneg, cBneg uint64    // all-ones masks: coordinate is negative
+	dA, dB       [2]uint64 // |δ.A|, |δ.B|
+	dAneg, dBneg uint64
+	base         [6]uint64 // n + 2^(ctOffExp+1)·n: den + OFF·2den
+	twoN         [6]uint64 // 2n, zero-extended
+	rbar         [3]uint64 // floor(2^384 / 2n), the Barrett reciprocal
+	off          [3]uint64 // 2^ctOffExp
 }
 
 var (

@@ -21,10 +21,6 @@ type Scratch struct {
 	ints   []*big.Int
 	next   int
 	digits []int8
-	// digits2 is a second, independent digit buffer so a joint
-	// double-scalar caller can hold two recodings at once (see
-	// RecodeSecond).
-	digits2 []int8
 	// digitsW and digitsW2 are the int16 twin buffers of the
 	// wide-window pipeline (RecodeWide/RecodeWideSecond), which
 	// supports widths past int8's w = 8 for precomputed-table
@@ -80,7 +76,7 @@ func (s *Scratch) Wipe() {
 	for i := range s.ctBuf {
 		s.ctBuf[i] = 0
 	}
-	for _, buf := range [][]int8{s.digits, s.digits2, s.digitsCT} {
+	for _, buf := range [][]int8{s.digits, s.digitsCT} {
 		digits := buf[:cap(buf)]
 		for i := range digits {
 			digits[i] = 0
@@ -137,20 +133,6 @@ func (s *Scratch) RecodeWideSecond(k *big.Int, w int) []int16 {
 	s.digitsW, s.digitsW2 = s.digitsW2, s.digitsW
 	d := s.RecodeWide(k, w)
 	s.digitsW, s.digitsW2 = s.digitsW2, s.digitsW
-	return d
-}
-
-// RecodeSecond is Recode writing into the Scratch's second digit
-// buffer, so that a caller multiplying two scalars jointly (the
-// Shamir/Straus-interleaved u1·G + u2·Q verifier) can hold both
-// recodings at once. The returned digits alias the Scratch and stay
-// valid across later Recode calls — only the next RecodeSecond (or
-// Wipe) invalidates them. The big.Int arena is shared with Recode,
-// which is fine: digits are fully extracted before Recode runs again.
-func (s *Scratch) RecodeSecond(k *big.Int, w int) []int8 {
-	s.digits, s.digits2 = s.digits2, s.digits
-	d := s.Recode(k, w)
-	s.digits, s.digits2 = s.digits2, s.digits
 	return d
 }
 

@@ -230,7 +230,7 @@ func CheckVerifyInputs(pub ec.Affine, sig *Signature) bool {
 // mod-n inverse for s⁻¹ — against the seed's two disjoint
 // multiplications, three extra inversions and per-call
 // big.Int.ModInverse (kept below as VerifySeparate). The call is
-// allocation-free in steady state on the 64-bit backend.
+// allocation-free in steady state.
 func Verify(pub ec.Affine, digest []byte, sig *Signature) bool {
 	return verifyJoint(pub, nil, digest, sig)
 }

@@ -57,7 +57,7 @@ func TestVerifyJointMatchesSeparate(t *testing.T) {
 	}
 	fb := core.NewFixedBase(key.Public, core.WPrecomp)
 
-	for _, bk := range []gf233.Backend{gf233.Backend32, gf233.Backend64, gf233.BackendCLMUL} {
+	for _, bk := range []gf233.Backend{gf233.Backend64, gf233.BackendCLMUL} {
 		prev := gf233.SetBackend(bk)
 		for _, v := range verifiers(fb) {
 			if !v.f(key.Public, digest[:], sig) {

@@ -91,7 +91,7 @@ func (pub *PublicKey) Bytes() []byte { return pub.point.Encode() }
 func (pub *PublicKey) BytesCompressed() []byte { return pub.point.EncodeCompressed() }
 
 // Point returns the affine point of the key, for use with the
-// point-level API (ScalarMult, Seal, Verify...). Validation already
+// point-level API (ScalarMult, ValidatePoint, ...). Validation already
 // happened at construction, so the returned point may be fed to the
 // fast subgroup-assuming paths directly.
 func (pub *PublicKey) Point() Point { return pub.point }

@@ -87,42 +87,35 @@ func TestPrivateKeyBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScalarValidationBothPaths pins the satellite requirement: both
-// the root constructor and the compat parser reject d = 0 and d = n,
-// through the single centralized check in internal/core.
+// TestScalarValidationBothPaths pins scalar-range validation at the
+// root constructor: NewPrivateKey rejects d = 0 and d = n (and a short
+// encoding) through the single centralized check in internal/core.
 func TestScalarValidationBothPaths(t *testing.T) {
 	zero := make([]byte, PrivateKeySize)
 	n := Order().FillBytes(make([]byte, PrivateKeySize))
-	for name, parse := range map[string]func([]byte) (*PrivateKey, error){
-		"NewPrivateKey":   NewPrivateKey,
-		"ParsePrivateKey": ParsePrivateKey,
-	} {
-		if _, err := parse(zero); err == nil {
-			t.Errorf("%s: d = 0 accepted", name)
-		}
-		if _, err := parse(n); err == nil {
-			t.Errorf("%s: d = n accepted", name)
-		}
-		if _, err := parse(zero[:PrivateKeySize-1]); err == nil {
-			t.Errorf("%s: short encoding accepted", name)
-		}
+	if _, err := NewPrivateKey(zero); err == nil {
+		t.Error("d = 0 accepted")
+	}
+	if _, err := NewPrivateKey(n); err == nil {
+		t.Error("d = n accepted")
+	}
+	if _, err := NewPrivateKey(zero[:PrivateKeySize-1]); err == nil {
+		t.Error("short encoding accepted")
 	}
 }
 
-// TestCompatWrappersAgreeWithMethods ties the compat surface to the
-// new one: MarshalPrivateKey/Bytes and SharedKey/ECDH produce
-// identical bytes.
+// TestCompatWrappersAgreeWithMethods pins the key methods that replace
+// the removed loose-function wrappers (SharedKey became
+// PrivateKey.ECDH): both ECDH directions derive the same key, and the
+// raw shared secret is symmetric and SharedSecretSize bytes long.
 func TestCompatWrappersAgreeWithMethods(t *testing.T) {
 	rnd := rand.New(rand.NewSource(24))
 	a, _ := GenerateKey(rnd)
 	b, _ := GenerateKey(rnd)
-	if !bytes.Equal(MarshalPrivateKey(a), a.Bytes()) {
-		t.Fatal("MarshalPrivateKey differs from Bytes")
-	}
-	k1, err1 := SharedKey(a, b.PublicKey().Point(), 32)
-	k2, err2 := a.ECDH(b.PublicKey(), 32)
+	k1, err1 := a.ECDH(b.PublicKey(), 32)
+	k2, err2 := b.ECDH(a.PublicKey(), 32)
 	if err1 != nil || err2 != nil || !bytes.Equal(k1, k2) {
-		t.Fatalf("SharedKey and ECDH disagree: %v %v", err1, err2)
+		t.Fatalf("ECDH directions disagree: %v %v", err1, err2)
 	}
 	raw1, err1 := a.SharedSecret(b.PublicKey())
 	raw2, err2 := b.SharedSecret(a.PublicKey())

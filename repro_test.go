@@ -18,9 +18,8 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ECDH both ways, once through the compat wrapper and once through
-	// the opaque-key method — they must agree with each other too.
-	ka, err := SharedKey(alice, bob.PublicKey().Point(), 32)
+	// ECDH both ways.
+	ka, err := alice.ECDH(bob.PublicKey(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,24 +30,17 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if !bytes.Equal(ka, kb) {
 		t.Fatal("ECDH keys disagree")
 	}
-	// Signatures through the compat functions.
+	// A raw signature from Sign, verified through the key method.
 	d := sha256.Sum256([]byte("public API test"))
 	sig, err := Sign(alice, d[:], rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(alice.PublicKey().Point(), d[:], sig) {
+	if !alice.PublicKey().Verify(d[:], sig) {
 		t.Fatal("signature rejected")
 	}
-	if Verify(bob.PublicKey().Point(), d[:], sig) {
-		t.Fatal("signature accepted under the wrong key")
-	}
-	// And through the opaque-key methods.
-	if !alice.PublicKey().Verify(d[:], sig) {
-		t.Fatal("method verify rejected")
-	}
 	if bob.PublicKey().Verify(d[:], sig) {
-		t.Fatal("method verify accepted under the wrong key")
+		t.Fatal("signature accepted under the wrong key")
 	}
 }
 

@@ -39,6 +39,22 @@ func ParseSignature(b []byte) (*Signature, error) { return sign.ParseRaw(b) }
 // byte-exactly through Signature.MarshalASN1.
 func ParseSignatureDER(b []byte) (*Signature, error) { return sign.ParseDER(b) }
 
+// Sign produces an ECDSA-style signature over the message digest.
+//
+// New code that wants wire bytes should use SignASN1 (DER) or
+// sig.Bytes (raw) — or the crypto.Signer interface on *PrivateKey.
+func Sign(priv *PrivateKey, digest []byte, rand io.Reader) (*Signature, error) {
+	return sign.Sign(priv.key, digest, rand)
+}
+
+// SignDeterministic signs with an RFC 6979-style deterministic nonce,
+// removing the signing-time RNG dependency (valuable on RNG-poor
+// sensor nodes). Equivalent to priv.Sign with a nil rand, minus the
+// DER encoding.
+func SignDeterministic(priv *PrivateKey, digest []byte) (*Signature, error) {
+	return sign.SignDeterministic(priv.key, digest)
+}
+
 // SignASN1 signs the (pre-hashed) digest with the private key and
 // returns the ASN.1 DER encoding of the signature, drawing the nonce
 // from rand (nil rand selects the deterministic nonce, as in
