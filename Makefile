@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzMultiScalarVsJoint -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz=FuzzParseCert -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz=FuzzParsePEM -fuzztime=10s
+	$(GO) test ./internal/frame -run='^$$' -fuzz=FuzzFrame -fuzztime=10s
 
 # Zero-alloc guards: AllocsPerRun is meaningless under -race (the
 # detector allocates), so these run in their own non-race pass.

@@ -79,6 +79,10 @@ func TestServeEnrollCertVerify(t *testing.T) {
 	if got := s.cache.len(); got != 2 {
 		t.Fatalf("cache has %d entries after enroll, want 2", got)
 	}
+	// Enrollment is not a use: the key earns a table only by verifying.
+	if got := s.m.tableBuilds.Load(); got != 0 {
+		t.Fatalf("enrollment built %d tables, want 0", got)
+	}
 
 	digest := sha256.Sum256([]byte("certified message"))
 	sig, _, err := repro.SignRecoverable(nil, priv, digest[:])
@@ -86,7 +90,7 @@ func TestServeEnrollCertVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First TCertVerify must be a cache hit — no new table build.
+	// First TCertVerify must be a cache hit — no new key build.
 	builds := s.m.cacheBuilds.Load()
 	hits := s.m.cacheHits.Load()
 	req := frame.AppendCertVerify(nil, certBytes, identity, sig.Bytes(), digest[:])
@@ -95,7 +99,7 @@ func TestServeEnrollCertVerify(t *testing.T) {
 		t.Fatalf("certverify: type %#x payload %x err %v", f.Type, f.Payload, err)
 	}
 	if got := s.m.cacheBuilds.Load(); got != builds {
-		t.Fatalf("certverify after enroll built a table (builds %d -> %d), want warm hit", builds, got)
+		t.Fatalf("certverify after enroll rebuilt the key (builds %d -> %d), want warm hit", builds, got)
 	}
 	if got := s.m.cacheHits.Load(); got != hits+1 {
 		t.Fatalf("cacheHits = %d, want %d", got, hits+1)
@@ -132,7 +136,7 @@ func TestServeEnrollCertVerify(t *testing.T) {
 		t.Fatalf("verify with extracted key: type %#x payload %x err %v", f.Type, f.Payload, err)
 	}
 	if got := s.m.cacheBuilds.Load(); got != builds {
-		t.Fatalf("plain verify with extracted key built a table (builds %d -> %d), want alias hit", builds, got)
+		t.Fatalf("plain verify with extracted key rebuilt it (builds %d -> %d), want alias hit", builds, got)
 	}
 
 	// Forged certificate: a torsion point in the cert slot is rejected
@@ -160,9 +164,8 @@ func TestServeEnrollCertVerify(t *testing.T) {
 }
 
 // TestServeCertVerifySingleflight pins the build count when many
-// clients present the same cold certificate at once: the LRU's
-// singleflight must collapse them into exactly one extraction+table
-// build.
+// clients present the same cold certificate at once: the key tier's
+// singleflight must collapse them into exactly one extraction.
 func TestServeCertVerifySingleflight(t *testing.T) {
 	s, addr := startTestServer(t, serverConfig{Window: 100 * time.Microsecond})
 

@@ -6,50 +6,120 @@ import (
 	"repro"
 )
 
-// keyCache maps cache keys to parsed, Precompute()d repro.PublicKey
-// values so repeat verifiers hit the w=10 fixed-window table (18 KiB
-// each) instead of rebuilding it per request. It is an LRU with
-// singleflight semantics: concurrent misses on the same key share one
-// build instead of racing N table constructions.
+// Sizing and admission constants of the key cache.
+const (
+	// keyTierRatio sizes the key tier against the table tier. A parsed
+	// key costs ~405 B of heap in the key tier and a w=10 table ~19 KB
+	// (runtime.MemStats over 16,384 keys), so sixteen keys per table
+	// slot keep a full key tier at about a third of the memory of a
+	// full table tier.
+	keyTierRatio = 16
+	// admitUses is the use count at which a key earns a table. A build
+	// costs ~0.12 ms and each verification over the table saves
+	// 20–27 µs, so a table pays back after about five uses. A key that
+	// would displace a resident table must also beat the victim's
+	// count by this margin.
+	admitUses = 5
+	// decayPeriod is the halving period of the use counts, in lookups
+	// per table slot: every decayPeriod × table-capacity lookups each
+	// count is halved, so a hot set that goes quiet loses its claim.
+	decayPeriod = 10
+)
+
+// keyCache holds verification keys in two tiers.
 //
-// Two kinds of entry share the cache, distinguished by a namespace
-// prefix on the map key — load-bearing, because a compressed public
-// key and an implicit certificate are both 31 raw bytes:
+// The key tier keeps every parsed or extracted *repro.PublicKey, up to
+// keyTierRatio × the table capacity entries, in an LRU with
+// singleflight building: concurrent misses on one name share one
+// parse or extraction, and a failed build is never resident.
+//
+// The table tier gives at most the table capacity of those keys a
+// w=10 verification table (18 KiB each). Every lookup counts a use of
+// its entry, and counts are halved every decayPeriod × capacity
+// lookups. A lookup that finds no table admits its key — TinyLFU's
+// rule (Einziger–Friedman–Manes, ACM TOS 2017) with the measured
+// break-even as the bar — once the count reaches admitUses and either
+// a slot is free or the count beats the least recently used table's
+// by admitUses. That lookup builds the table on its own goroutine, off
+// the cache lock and off the engine shard; concurrent lookups of the
+// key verify without a table meanwhile. Publishing the table displaces
+// the victim's, and a table goes with its key-tier entry.
+//
+// Entries are addressed by name, with a namespace prefix that is
+// load-bearing because a compressed public key and an implicit
+// certificate are both 31 raw bytes:
 //
 //	'k' || keyBytes                       — a verification key (TVerify)
 //	'c' || len(identity) || identity || certBytes — a key extracted
 //	     from an implicit certificate (TCertVerify); the identity is
-//	     part of the key because extraction binds it
+//	     part of the name because extraction binds it
+//
+// Enrollment makes one entry resident under both names, so a
+// certificate and its key share one use count and one table.
 type keyCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*keyEntry
-	// Intrusive doubly-linked LRU list; head.next is most recent,
-	// head.prev least recent. head itself is a sentinel.
+	mu sync.Mutex
+
+	cap     int                  // key-tier entries
+	n       int                  // entries on the key-tier list
+	entries map[string]*keyEntry // by name
+	// Intrusive doubly-linked LRU list of the key tier; head.next is
+	// most recent, head.prev least recent. head itself is a sentinel.
 	head keyEntry
+
+	tableCap int
+	tabled   int // entries holding a table
+	building int // admitted table builds in flight
+	// LRU list of the entries holding a table, through tnext/tprev.
+	tables keyEntry
+
+	lookups, period uint64 // lookups in this decay epoch, and its length
+	epoch           uint64
 
 	m *metrics
 }
 
 type keyEntry struct {
-	key        string
-	next, prev *keyEntry
+	key   string // the name the entry was built or enrolled under
+	alias string // the second name an enrollment makes resident, or ""
 
-	// ready is closed once pub/err are final. Waiters block on it
-	// outside the cache lock, so a slow Precompute never serialises
-	// unrelated lookups.
+	next, prev   *keyEntry // key-tier list
+	tnext, tprev *keyEntry // table-tier list, while tab != nil
+
+	// ready is closed, under the cache lock, once pub/err are final.
+	// Waiters block on it outside the lock, so a slow build never
+	// serialises unrelated lookups.
 	ready chan struct{}
 	pub   *repro.PublicKey
 	err   error
+
+	// Guarded by the cache lock.
+	uses     uint32 // use count, as of epoch seen
+	seen     uint64
+	tab      *repro.PublicKey // pub's point with a w=10 table, or nil
+	building bool             // this entry's table build is in flight
 }
 
-func newKeyCache(capacity int, m *metrics) *keyCache {
-	if capacity < 1 {
-		capacity = 1
+// closedReady is the ready channel of entries made resident already
+// built (enrollment).
+var closedReady = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+func newKeyCache(tableCap int, m *metrics) *keyCache {
+	if tableCap < 1 {
+		tableCap = 1
 	}
-	c := &keyCache{cap: capacity, entries: make(map[string]*keyEntry), m: m}
-	c.head.next = &c.head
-	c.head.prev = &c.head
+	c := &keyCache{
+		cap:      keyTierRatio * tableCap,
+		entries:  make(map[string]*keyEntry),
+		tableCap: tableCap,
+		period:   decayPeriod * uint64(tableCap),
+		m:        m,
+	}
+	c.head.next, c.head.prev = &c.head, &c.head
+	c.tables.tnext, c.tables.tprev = &c.tables, &c.tables
 	return c
 }
 
@@ -57,6 +127,7 @@ func (c *keyCache) unlink(e *keyEntry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.next, e.prev = nil, nil
+	c.n--
 }
 
 func (c *keyCache) pushFront(e *keyEntry) {
@@ -64,12 +135,26 @@ func (c *keyCache) pushFront(e *keyEntry) {
 	e.prev = &c.head
 	e.next.prev = e
 	c.head.next = e
+	c.n++
 }
 
-// keyCacheKey renders the verification-key namespace key.
+func (c *keyCache) tableUnlink(e *keyEntry) {
+	e.tprev.tnext = e.tnext
+	e.tnext.tprev = e.tprev
+	e.tnext, e.tprev = nil, nil
+}
+
+func (c *keyCache) tablePushFront(e *keyEntry) {
+	e.tnext = c.tables.tnext
+	e.tprev = &c.tables
+	e.tnext.tprev = e
+	c.tables.tnext = e
+}
+
+// keyCacheKey renders the verification-key namespace name.
 func keyCacheKey(raw []byte) string { return "k" + string(raw) }
 
-// certCacheKey renders the certificate namespace key. The identity is
+// certCacheKey renders the certificate namespace name. The identity is
 // length-prefixed so (identity, cert) pairs cannot collide by
 // concatenation.
 func certCacheKey(cert, identity []byte) string {
@@ -80,61 +165,75 @@ func certCacheKey(cert, identity []byte) string {
 	return string(b)
 }
 
-// getKey returns the parsed+precomputed verification key for raw
-// compressed bytes, building it at most once per residency.
+// getKey returns the verification key for raw compressed bytes,
+// parsing it at most once per residency.
 func (c *keyCache) getKey(raw []byte) (*repro.PublicKey, error) {
 	return c.get(keyCacheKey(raw), func() (*repro.PublicKey, error) {
-		pub, err := repro.NewPublicKey(raw)
-		if err == nil {
-			pub.Precompute()
-		}
-		return pub, err
+		return repro.NewPublicKey(raw)
 	})
 }
 
-// get returns the cached key under key, building it with build at most
-// once per residency. Errors are not cached: a failed build is removed
-// so the map never pins garbage, and the work repeats on the next
+// get returns the key resident under name — with its table, when it
+// holds or has just earned one — building it with build at most once
+// per residency. Errors are not cached: a failed build is removed so
+// the map never pins garbage, and the work repeats on the next
 // request.
-func (c *keyCache) get(key string, build func() (*repro.PublicKey, error)) (*repro.PublicKey, error) {
+func (c *keyCache) get(name string, build func() (*repro.PublicKey, error)) (*repro.PublicKey, error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	if c.lookups++; c.lookups == c.period {
+		c.lookups = 0
+		c.epoch++
+	}
+	if e, ok := c.entries[name]; ok {
 		c.unlink(e)
 		c.pushFront(e)
+		c.decayLocked(e)
+		e.uses++
+		tab := e.tab
+		if tab != nil {
+			c.tableUnlink(e)
+			c.tablePushFront(e)
+		}
+		admit := tab == nil && c.admitLocked(e)
 		c.mu.Unlock()
+		if tab != nil {
+			c.m.cacheHits.Add(1)
+			return tab, nil
+		}
 		<-e.ready
 		if e.err != nil {
 			// Joining an in-flight build that then failed is not a hit —
-			// no table was served. Counting it apart keeps the hit rate
+			// no key was served. Counting it apart keeps the hit rate
 			// honest under a malformed-key storm, where every storm
 			// request lands on some other storm request's doomed build.
 			c.m.cacheWaitFails.Add(1)
 			return nil, e.err
 		}
 		c.m.cacheHits.Add(1)
+		if admit {
+			return c.buildTable(e), nil
+		}
 		return e.pub, nil
 	}
 	c.m.cacheMisses.Add(1)
-	e := &keyEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = e
+	e := &keyEntry{key: name, ready: make(chan struct{}), uses: 1, seen: c.epoch}
+	c.entries[name] = e
 	c.pushFront(e)
 	c.mu.Unlock()
 
-	// Build outside the lock: parsing plus Precompute is the expensive
-	// part and other keys must not queue behind it.
+	// Build outside the lock: parsing or extraction must not queue
+	// other keys behind it.
 	c.m.cacheBuilds.Add(1)
 	pub, err := build()
-	e.pub, e.err = pub, err
-	close(e.ready)
 
 	c.mu.Lock()
+	e.pub, e.err = pub, err
+	close(e.ready)
 	if err != nil {
 		// Failed builds never become resident — a stream of malformed
-		// keys must not evict anyone's table. Only remove if this entry
-		// still owns the slot (a later build may own the key by now).
-		if cur, ok := c.entries[key]; ok && cur == e {
-			c.unlink(e)
-			delete(c.entries, key)
+		// keys must not evict anyone.
+		if c.entries[name] == e {
+			c.dropLocked(e)
 		}
 		c.mu.Unlock()
 		return nil, err
@@ -144,46 +243,139 @@ func (c *keyCache) get(key string, build func() (*repro.PublicKey, error)) (*rep
 	return pub, nil
 }
 
-// put inserts an already-built key under key — the enrollment path,
-// where the server just issued and extracted the certificate and wants
-// both the cert-namespace and key-namespace lookups warm. An existing
-// resident entry is refreshed in place.
-func (c *keyCache) put(key string, pub *repro.PublicKey) {
-	ready := make(chan struct{})
-	close(ready)
+// put makes an already-built key resident under both of its names —
+// the enrollment path, where the server just issued and extracted the
+// certificate and wants the cert-namespace and key-namespace lookups
+// warm. The names not yet resident share one new entry; a resident
+// name only has its recency refreshed, as residents are immutable
+// once built. No table is built here: enrollment is not a use.
+func (c *keyCache) put(pub *repro.PublicKey, certName, keyName string) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.unlink(e)
-		c.pushFront(e)
-		c.mu.Unlock()
-		// Residents are immutable once ready; a pre-warmed put for an
-		// existing key only refreshes recency.
-		_ = e
-		return
+	defer c.mu.Unlock()
+	var e *keyEntry
+	for _, name := range [2]string{certName, keyName} {
+		if x, ok := c.entries[name]; ok {
+			c.unlink(x)
+			c.pushFront(x)
+			continue
+		}
+		if e == nil {
+			e = &keyEntry{key: name, ready: closedReady, pub: pub, seen: c.epoch}
+			c.pushFront(e)
+		} else {
+			e.alias = name
+		}
+		c.entries[name] = e
 	}
-	e := &keyEntry{key: key, ready: ready, pub: pub}
-	c.entries[key] = e
-	c.pushFront(e)
-	c.evictLocked(e)
-	c.mu.Unlock()
+	if e != nil {
+		c.evictLocked(e)
+	}
 }
 
-// evictLocked trims the LRU tail beyond capacity, never evicting keep.
-// Eviction happens only on successful inserts, so transient overshoot
-// is bounded by the server's inflight cap.
+// decayLocked applies the halvings of the epochs since e was last
+// counted, lazily, so that no sweep over the entries holds the lock.
+func (c *keyCache) decayLocked(e *keyEntry) uint32 {
+	if d := c.epoch - e.seen; d > 0 {
+		e.uses >>= min(d, 31)
+		e.seen = c.epoch
+	}
+	return e.uses
+}
+
+// admitLocked decides whether the lookup that just counted a use of
+// e, a key without a table, builds that table. A free slot counts the
+// builds already admitted as taken.
+func (c *keyCache) admitLocked(e *keyEntry) bool {
+	if e.pub == nil || e.building || e.uses < admitUses {
+		return false // the key itself is still being built, or failed
+	}
+	if c.tabled+c.building >= c.tableCap {
+		victim := c.tables.tprev
+		if victim == &c.tables {
+			return false // every slot waits on an admitted build
+		}
+		if e.uses < c.decayLocked(victim)+admitUses {
+			c.m.tableDeclines.Add(1)
+			return false
+		}
+	}
+	e.building = true
+	c.building++
+	return true
+}
+
+// buildTable builds the table e was admitted for on a separate key,
+// so dropping it later is just clearing e.tab and the key-tier object
+// is never mutated. Publishing displaces least recently used tables
+// until the admitted builds fit. If e left the key tier meanwhile the
+// table is dropped at once; the caller verifies over it either way.
+func (c *keyCache) buildTable(e *keyEntry) *repro.PublicKey {
+	tab, err := repro.PublicKeyFromPoint(e.pub.Point())
+	if err == nil {
+		tab.Precompute()
+		c.m.tableBuilds.Add(1)
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.building = false
+	c.building--
+	switch {
+	case err != nil:
+		return e.pub // unreachable: e.pub passed the same validation
+	case c.entries[e.key] != e:
+		c.m.tableEvicts.Add(1)
+		return tab
+	}
+	e.tab = tab
+	c.tablePushFront(e)
+	c.tabled++
+	for c.tabled+c.building > c.tableCap && c.tables.tprev != e {
+		c.untableLocked(c.tables.tprev)
+	}
+	c.m.tables.Store(int64(c.tabled))
+	return tab
+}
+
+// untableLocked drops e's table.
+func (c *keyCache) untableLocked(e *keyEntry) {
+	c.tableUnlink(e)
+	e.tab = nil
+	c.tabled--
+	c.m.tableEvicts.Add(1)
+	c.m.tables.Store(int64(c.tabled))
+}
+
+// dropLocked removes e from the key tier under every name it holds,
+// and its table with it.
+func (c *keyCache) dropLocked(e *keyEntry) {
+	c.unlink(e)
+	for _, name := range [2]string{e.key, e.alias} {
+		if c.entries[name] == e {
+			delete(c.entries, name)
+		}
+	}
+	if e.tab != nil {
+		c.untableLocked(e)
+	}
+}
+
+// evictLocked trims the key tier's LRU tail beyond capacity, never
+// evicting keep. Eviction happens only on successful inserts, so
+// transient overshoot is bounded by the server's inflight cap.
 func (c *keyCache) evictLocked(keep *keyEntry) {
-	for len(c.entries) > c.cap {
+	for c.n > c.cap {
 		victim := c.head.prev
 		if victim == keep {
 			break
 		}
-		c.unlink(victim)
-		delete(c.entries, victim.key)
+		c.dropLocked(victim)
 		c.m.cacheEvicts.Add(1)
 	}
 }
 
-// len reports the current number of resident entries.
+// len reports the number of resident names; an enrolled key is
+// resident under two.
 func (c *keyCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

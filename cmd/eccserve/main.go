@@ -14,9 +14,12 @@
 //   - Load shedding: at most -maxinflight requests run at once;
 //     beyond that clients get an explicit TOverload frame instead of
 //     unbounded queueing.
-//   - Key-table caching: verification keys are parsed and
-//     Precompute()d once, then held in an LRU (capacity -keycache)
-//     with singleflight building.
+//   - Two-tier key cache: every parsed or extracted verification key
+//     stays resident (an LRU of 16 × -keycache keys, singleflight
+//     built), and at most -keycache of them hold a w=10 verification
+//     table, built once a key's decayed use count reaches the table's
+//     break-even of ~5 verifications and, with every slot taken, beats
+//     the least recently used table's count by as much.
 //   - Graceful drain: SIGTERM/SIGINT stops accepting, answers new
 //     frames with TDraining, waits up to -drain for in-flight work,
 //     then exits 0.
@@ -38,6 +41,7 @@ package main
 import (
 	"encoding/hex"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -62,7 +66,7 @@ func main() {
 		batch    = flag.Int("batch", 32, "max requests per engine batch")
 		window   = flag.Duration("window", 200*time.Microsecond, "batch window: a partial batch closes after this deadline")
 		maxInfl  = flag.Int("maxinflight", 0, "max concurrent requests before shedding (0 = 4*shards*batch)")
-		cacheCap = flag.Int("keycache", 1024, "resident precomputed verification keys")
+		cacheCap = flag.Int("keycache", 1024, fmt.Sprintf("resident w=10 verification tables; the key cache holds %d× as many parsed keys", keyTierRatio))
 		keyFile  = flag.String("key", "", "hex-encoded private key file (empty = ephemeral key)")
 		drain    = flag.Duration("drain", 5*time.Second, "max time to wait for in-flight requests on shutdown")
 		readIdle = flag.Duration("read-idle", 2*time.Minute, "close a connection whose peer sends nothing for this long (0 = never)")

@@ -43,11 +43,18 @@ type metrics struct {
 	batchOps  atomic.Int64
 	batchHist [len(batchBuckets) + 1]atomic.Int64
 
+	// Key tier: lookups, key parses/extractions, LRU evictions.
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	cacheBuilds    atomic.Int64
 	cacheEvicts    atomic.Int64
 	cacheWaitFails atomic.Int64 // waiters whose joined in-flight build failed
+
+	// Table tier: the admission decision.
+	tables        atomic.Int64 // resident w=10 tables (gauge)
+	tableBuilds   atomic.Int64
+	tableEvicts   atomic.Int64 // displaced, or gone with their key
+	tableDeclines atomic.Int64 // admissions lost to the victim comparison
 
 	inflight atomic.Int64
 	conns    atomic.Int64
@@ -111,11 +118,15 @@ func (m *metrics) writeProm(w io.Writer) {
 	fmt.Fprintf(w, "eccserve_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
 	fmt.Fprintf(w, "eccserve_batch_size_sum %d\n", m.batchOps.Load())
 	fmt.Fprintf(w, "eccserve_batch_size_count %d\n", m.batches.Load())
-	counter("eccserve_keycache_hits_total", "Verify-table cache hits.", m.cacheHits.Load())
-	counter("eccserve_keycache_misses_total", "Verify-table cache misses.", m.cacheMisses.Load())
-	counter("eccserve_keycache_builds_total", "Verify tables built (singleflight-deduplicated).", m.cacheBuilds.Load())
-	counter("eccserve_keycache_evictions_total", "Verify-table cache evictions.", m.cacheEvicts.Load())
-	counter("eccserve_keycache_wait_failures_total", "Lookups that joined an in-flight table build which then failed.", m.cacheWaitFails.Load())
+	counter("eccserve_keycache_hits_total", "Key-tier lookups that found the key resident.", m.cacheHits.Load())
+	counter("eccserve_keycache_misses_total", "Key-tier lookups that had to parse or extract the key.", m.cacheMisses.Load())
+	counter("eccserve_keycache_builds_total", "Keys parsed or extracted into the key tier (singleflight-deduplicated).", m.cacheBuilds.Load())
+	counter("eccserve_keycache_evictions_total", "Keys evicted from the key tier, each with any table it held.", m.cacheEvicts.Load())
+	counter("eccserve_keycache_wait_failures_total", "Lookups that joined an in-flight key build which then failed.", m.cacheWaitFails.Load())
+	gauge("eccserve_keycache_tables", "Verification tables resident in the table tier.", m.tables.Load())
+	counter("eccserve_keycache_table_builds_total", "Verification tables built for keys whose use count cleared the admission bar.", m.tableBuilds.Load())
+	counter("eccserve_keycache_table_evictions_total", "Verification tables dropped, displaced by an admission or evicted with their key.", m.tableEvicts.Load())
+	counter("eccserve_keycache_table_declines_total", "Table admissions declined because the key's use count did not beat the displaced table's.", m.tableDeclines.Load())
 	gauge("eccserve_inflight_requests", "Requests currently in flight.", m.inflight.Load())
 	gauge("eccserve_open_connections", "Open client connections.", m.conns.Load())
 	gauge("eccserve_draining", "1 while the server is draining.", m.draining.Load())
@@ -124,34 +135,38 @@ func (m *metrics) writeProm(w io.Writer) {
 // snapshot renders the same numbers as a flat map for expvar.
 func (m *metrics) snapshot() map[string]int64 {
 	out := map[string]int64{
-		"requests_ping":          m.reqPing.Load(),
-		"requests_sign":          m.reqSign.Load(),
-		"requests_verify":        m.reqVerify.Load(),
-		"requests_verifyr":       m.reqVerifyR.Load(),
-		"requests_ecdh":          m.reqECDH.Load(),
-		"requests_enroll":        m.reqEnroll.Load(),
-		"requests_certverify":    m.reqCertVerify.Load(),
-		"enrollments":            m.enrollments.Load(),
-		"extractions":            m.extractions.Load(),
-		"bad_requests":           m.badRequest.Load(),
-		"shed":                   m.shed.Load(),
-		"drained":                m.drained.Load(),
-		"internal_errors":        m.internalErr.Load(),
-		"verify_invalid":         m.verifyFail.Load(),
-		"conn_timeouts":          m.connTimeouts.Load(),
-		"conns_rejected":         m.connsRejected.Load(),
-		"conn_errors":            m.connErrors.Load(),
-		"faults_injected":        m.faultsInjected.Load(),
-		"batches":                m.batches.Load(),
-		"batch_ops":              m.batchOps.Load(),
-		"keycache_hits":          m.cacheHits.Load(),
-		"keycache_misses":        m.cacheMisses.Load(),
-		"keycache_builds":        m.cacheBuilds.Load(),
-		"keycache_evictions":     m.cacheEvicts.Load(),
-		"keycache_wait_failures": m.cacheWaitFails.Load(),
-		"inflight_requests":      m.inflight.Load(),
-		"open_connections":       m.conns.Load(),
-		"draining":               m.draining.Load(),
+		"requests_ping":            m.reqPing.Load(),
+		"requests_sign":            m.reqSign.Load(),
+		"requests_verify":          m.reqVerify.Load(),
+		"requests_verifyr":         m.reqVerifyR.Load(),
+		"requests_ecdh":            m.reqECDH.Load(),
+		"requests_enroll":          m.reqEnroll.Load(),
+		"requests_certverify":      m.reqCertVerify.Load(),
+		"enrollments":              m.enrollments.Load(),
+		"extractions":              m.extractions.Load(),
+		"bad_requests":             m.badRequest.Load(),
+		"shed":                     m.shed.Load(),
+		"drained":                  m.drained.Load(),
+		"internal_errors":          m.internalErr.Load(),
+		"verify_invalid":           m.verifyFail.Load(),
+		"conn_timeouts":            m.connTimeouts.Load(),
+		"conns_rejected":           m.connsRejected.Load(),
+		"conn_errors":              m.connErrors.Load(),
+		"faults_injected":          m.faultsInjected.Load(),
+		"batches":                  m.batches.Load(),
+		"batch_ops":                m.batchOps.Load(),
+		"keycache_hits":            m.cacheHits.Load(),
+		"keycache_misses":          m.cacheMisses.Load(),
+		"keycache_builds":          m.cacheBuilds.Load(),
+		"keycache_evictions":       m.cacheEvicts.Load(),
+		"keycache_wait_failures":   m.cacheWaitFails.Load(),
+		"keycache_tables":          m.tables.Load(),
+		"keycache_table_builds":    m.tableBuilds.Load(),
+		"keycache_table_evictions": m.tableEvicts.Load(),
+		"keycache_table_declines":  m.tableDeclines.Load(),
+		"inflight_requests":        m.inflight.Load(),
+		"open_connections":         m.conns.Load(),
+		"draining":                 m.draining.Load(),
 	}
 	for i, ub := range batchBuckets {
 		out[fmt.Sprintf("batch_size_le_%d", ub)] = m.batchHist[i].Load()

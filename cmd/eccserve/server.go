@@ -24,7 +24,7 @@ type serverConfig struct {
 	Window       time.Duration // adaptive batch window (0 = greedy only)
 	MaxInflight  int           // concurrent requests before shedding
 	MaxConns     int           // accepted-connection cap; 0 = unlimited
-	KeyCacheCap  int           // resident Precompute tables
+	KeyCacheCap  int           // resident w=10 tables; the key tier holds keyTierRatio× as many keys
 	DrainTimeout time.Duration // bound on waiting for in-flight work
 	ReadIdle     time.Duration // per-connection read idle timeout; 0 = none
 	WriteTimeout time.Duration // per-response write deadline; 0 = none
@@ -465,19 +465,18 @@ func (s *server) process(fc *frame.Conn, shard *repro.BatchEngine, id uint64, ty
 			return
 		}
 		// Extract the certified key through the shard kernel and warm
-		// the cache under both namespaces: TCertVerify hits the
-		// cert-namespace entry, and a client presenting the extracted
-		// key directly to TVerify hits the key-namespace alias.
+		// the key tier under both namespaces: TCertVerify hits the
+		// cert-namespace name, and a client presenting the extracted
+		// key directly to TVerify hits the key-namespace alias. The
+		// key earns a table only by use.
 		pub, err := shard.ExtractPublicKey(cert, s.ca.PublicKey())
 		if err != nil {
 			s.writeErr(fc, id, err)
 			return
 		}
 		s.m.extractions.Add(1)
-		pub.Precompute()
 		certBytes := cert.Bytes()
-		s.cache.put(certCacheKey(certBytes, identity), pub)
-		s.cache.put(keyCacheKey(pub.BytesCompressed()), pub)
+		s.cache.put(pub, certCacheKey(certBytes, identity), keyCacheKey(pub.BytesCompressed()))
 		s.m.enrollments.Add(1)
 		s.write(fc, id, frame.TOK, certBytes, contrib)
 
@@ -499,7 +498,6 @@ func (s *server) process(fc *frame.Conn, shard *repro.BatchEngine, id uint64, ty
 				return nil, err
 			}
 			s.m.extractions.Add(1)
-			pub.Precompute()
 			return pub, nil
 		})
 		if err != nil {

@@ -272,7 +272,7 @@ func TestServeMixedTrafficConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	// One client key across all verifies: one table build, the rest
+	// One client key across all verifies: one key build, the rest
 	// cache hits.
 	if builds := s.m.cacheBuilds.Load(); builds != 1 {
 		t.Fatalf("cacheBuilds = %d, want 1", builds)
@@ -458,10 +458,11 @@ func TestLoadShedding(t *testing.T) {
 
 func TestKeyCacheLRUAndSingleflight(t *testing.T) {
 	m := &metrics{}
-	c := newKeyCache(2, m)
+	c := newKeyCache(2, m) // 2 tables, so 2·keyTierRatio resident keys
+	keyCap := 2 * keyTierRatio
 	rnd := rand.New(rand.NewSource(11))
 	var keys [][]byte
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= keyCap; i++ {
 		priv, err := repro.GenerateKey(rnd)
 		if err != nil {
 			t.Fatal(err)
@@ -485,18 +486,21 @@ func TestKeyCacheLRUAndSingleflight(t *testing.T) {
 		t.Fatalf("cacheBuilds = %d, want 1", builds)
 	}
 
-	// LRU: cap 2, third key evicts the least recently used.
-	if _, err := c.getKey(keys[1]); err != nil {
-		t.Fatal(err)
+	// LRU: fill the key tier, refresh key0, and the one key past
+	// capacity evicts the least recently used, key1.
+	for _, k := range keys[1:keyCap] {
+		if _, err := c.getKey(k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := c.getKey(keys[0]); err != nil { // key0 now most recent
 		t.Fatal(err)
 	}
-	if _, err := c.getKey(keys[2]); err != nil { // evicts key1
+	if _, err := c.getKey(keys[keyCap]); err != nil { // evicts key1
 		t.Fatal(err)
 	}
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
+	if c.len() != keyCap {
+		t.Fatalf("cache holds %d entries, want %d", c.len(), keyCap)
 	}
 	if m.cacheEvicts.Load() != 1 {
 		t.Fatalf("cacheEvicts = %d, want 1", m.cacheEvicts.Load())
@@ -508,13 +512,20 @@ func TestKeyCacheLRUAndSingleflight(t *testing.T) {
 	if m.cacheHits.Load() != hitsBefore+1 {
 		t.Fatal("key0 should have survived the eviction as a hit")
 	}
+	missesBefore := m.cacheMisses.Load()
+	if _, err := c.getKey(keys[1]); err != nil { // was evicted
+		t.Fatal(err)
+	}
+	if m.cacheMisses.Load() != missesBefore+1 {
+		t.Fatal("key1 should have been evicted and rebuilt")
+	}
 
 	// Errors are not cached.
 	bad := make([]byte, frame.KeySize)
 	if _, err := c.getKey(bad); err == nil {
 		t.Fatal("garbage key parsed")
 	}
-	if c.len() != 2 {
+	if c.len() != keyCap {
 		t.Fatalf("failed build left a resident entry: len = %d", c.len())
 	}
 }
@@ -636,13 +647,23 @@ func TestMetricsEndpoints(t *testing.T) {
 		"eccserve_conns_rejected_total 0",
 		"eccserve_conn_errors_total 0",
 		"eccserve_faults_injected_total 0",
+		"eccserve_keycache_tables 0",
+		"eccserve_keycache_table_builds_total 0",
+		"eccserve_keycache_table_evictions_total 0",
+		"eccserve_keycache_table_declines_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q\n%s", want, body)
 		}
 	}
-	if !strings.Contains(httpGet(t, srv.URL+"/debug/vars"), `"eccserve"`) {
+	vars := httpGet(t, srv.URL+"/debug/vars")
+	if !strings.Contains(vars, `"eccserve"`) {
 		t.Fatal("/debug/vars does not publish the eccserve tree")
+	}
+	for _, want := range []string{`"keycache_tables"`, `"keycache_table_builds"`, `"keycache_table_evictions"`, `"keycache_table_declines"`} {
+		if !strings.Contains(vars, want) {
+			t.Fatalf("/debug/vars missing %s", want)
+		}
 	}
 	if !strings.Contains(httpGet(t, srv.URL+"/debug/pprof/"), "goroutine") {
 		t.Fatal("/debug/pprof/ index not served")

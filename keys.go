@@ -105,7 +105,8 @@ func (pub *PublicKey) Point() Point { return pub.point }
 // multiplications (~0.12 ms on a 2-vCPU Xeon VM) and breaks even at
 // about five verifications with the key; for a key parsed to verify
 // one or two messages it does not pay, which is why it is explicit
-// rather than automatic.
+// rather than automatic. A server holding many keys decides per key:
+// cmd/eccserve builds the table on a key's fifth recent use.
 //
 // Precompute is idempotent and safe to call concurrently; racing
 // builders may both do the work, but all verifiers observe a frozen,
