@@ -10,7 +10,8 @@
 #                  pinned to GF233_BACKEND=64 (so the non-CLMUL fallback
 #                  path can never rot on CLMUL machines), a short
 #                  differential-fuzz smoke of the 64-bit and CLMUL field
-#                  backends and the batched inversion, and the
+#                  backends, the batched inversion and the fast τ-adic
+#                  recoding, and the
 #                  zero-alloc guards (which must run WITHOUT -race,
 #                  hence the separate pass)
 #   make api     - the public-surface guards: the exported-API golden
@@ -105,6 +106,7 @@ fuzz:
 	$(GO) test ./internal/gf233 -run='^$$' -fuzz=FuzzMulClmulVsRef -fuzztime=10s
 	$(GO) test ./internal/gf233 -run='^$$' -fuzz=FuzzSqrInvClmulVsRef -fuzztime=10s
 	$(GO) test ./internal/gf233 -run='^$$' -fuzz=FuzzBatchInvVsSequential -fuzztime=10s
+	$(GO) test ./internal/koblitz -run='^$$' -fuzz=FuzzRecodeVsReference -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzJointScalarMultVsSeparate -fuzztime=10s
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzMultiScalarVsJoint -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz=FuzzParseCert -fuzztime=10s
@@ -114,7 +116,7 @@ fuzz:
 # Zero-alloc guards: AllocsPerRun is meaningless under -race (the
 # detector allocates), so these run in their own non-race pass.
 alloc:
-	$(GO) test ./internal/core ./internal/engine ./internal/gf233 -run 'TestZeroAlloc' -count=1
+	$(GO) test ./internal/core ./internal/engine ./internal/gf233 ./internal/koblitz -run 'TestZeroAlloc' -count=1
 
 # Public-surface guards: the exported-API golden test (regenerate with
 # -update-api after an intentional change), interface conformance, the

@@ -25,7 +25,7 @@ import (
 // Semantics per element match ScalarMultLD64: ps[i] must lie in the
 // prime-order subgroup; ps[i].Inf or ks[i] = 0 yields infinity. Like
 // every Scratch method it is not safe for concurrent use, and the
-// recoding arena retains the LAST scalar's digits — callers running
+// recoding buffer retains the LAST scalar's digits — callers running
 // secret scalars wipe the scratch afterwards, exactly as for the
 // single-point ladders.
 func (s *Scratch) ScalarMultBatchLD64(dst []ec.LD64, ks []*big.Int, ps []ec.Affine) {

@@ -10,7 +10,7 @@ import (
 )
 
 // Scratch threads reusable state through a whole point multiplication
-// so the hot paths stop allocating: the τ-adic recoding arena
+// so the hot paths stop allocating: the τ-adic recoding digit buffers
 // (koblitz.Scratch), the per-point α table built natively in the
 // 64-bit representation, the LD staging buffers, and the operand and
 // scratch slices for batched inversion. After the first use everything
@@ -64,9 +64,9 @@ func putScratch(s *Scratch) {
 }
 
 // Wipe zeroes the scalar-derived state the Scratch retains — the
-// recoding arena and digits (invertible back to the scalar) and the
-// comb's reduced-scalar buffer — keeping all storage for reuse. The
-// point tables and Z buffers stay: they derive from public points.
+// recoding digits (invertible back to the scalar) and the comb's
+// reduced-scalar buffer — keeping all storage for reuse. The point
+// tables and Z buffers stay: they derive from public points.
 func (s *Scratch) Wipe() {
 	s.rec.Wipe()
 	koblitz.WipeInt(&s.mod)

@@ -67,10 +67,12 @@ func (p Affine) OnCurve() bool {
 	if (p.X[gf233.NumWords-1]|p.Y[gf233.NumWords-1])&^gf233.TopMask != 0 {
 		return false
 	}
-	// Left: y² + xy. Right: x³ + ax² + b = x³ + b since a = 0.
-	left := gf233.Add(gf233.Sqr(p.Y), gf233.Mul(p.X, p.Y))
-	x2 := gf233.Sqr(p.X)
-	right := gf233.Add(gf233.Mul(x2, p.X), B)
+	// One conversion, then the 64-bit field operations the point
+	// arithmetic runs on. Left: y² + xy. Right: x³ + ax² + b = x³ + 1
+	// since a = 0 and b = 1.
+	q := p.To64()
+	left := gf233.Add64(gf233.Sqr64(q.Y), gf233.Mul64(q.X, q.Y))
+	right := gf233.Add64(gf233.Mul64(gf233.Sqr64(q.X), q.X), gf233.One64)
 	return left == right
 }
 

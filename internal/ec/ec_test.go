@@ -363,6 +363,18 @@ func BenchmarkAffineAdd(b *testing.B) {
 	}
 }
 
+func BenchmarkOnCurve(b *testing.B) {
+	rnd := rand.New(rand.NewSource(1))
+	p := randPoint(rnd)
+	ok := true
+	for i := 0; i < b.N; i++ {
+		ok = ok && p.OnCurve()
+	}
+	if !ok {
+		b.Fatal("random point off the curve")
+	}
+}
+
 func BenchmarkLDAddMixed(b *testing.B) {
 	rnd := rand.New(rand.NewSource(1))
 	p, q := FromAffine(randPoint(rnd)), randPoint(rnd)

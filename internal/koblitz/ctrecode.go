@@ -2,16 +2,18 @@ package koblitz
 
 import (
 	"math/big"
+	"math/bits"
 	"sync"
 )
 
-// ctrecode.go — constant-time partial reduction and fixed-length
-// width-w TNAF recoding for the hardened signing path.
+// ctrecode.go — fixed-width partial reduction, and the constant-time
+// fixed-length width-w TNAF recoding of the hardened signing path.
 //
-// The fast pipeline (Recode/scratchWTNAF) branches on secret digit
-// values, early-exits when the residue reaches zero, and produces a
-// digit string whose length depends on the scalar. The hardened
-// pipeline below removes all three leaks:
+// Both recodings reduce on the words below. The fast pipeline
+// (scratch.go) adds Solinas' data-dependent lattice correction to the
+// shared rounding and then runs a digit loop that branches on digit
+// values and stops when the residue is exhausted. The hardened
+// pipeline removes the three leaks that leaves:
 //
 //   - the partial reduction runs on fixed-width two's-complement words
 //     with a Barrett reciprocal in place of big.Int division, so every
@@ -30,6 +32,9 @@ import (
 // string is therefore up to one digit longer, which CTDigits absorbs.
 // The representative ρ can differ from PartMod's, but both are ≡ k
 // (mod δ), so they multiply to the same point.
+//
+// The word arithmetic is math/bits' Add64, Sub64 and Mul64, which Go
+// documents as constant-time, and plain 64-bit multiplication.
 
 // CTDigits is the fixed digit-string length of the constant-time
 // recoding: every RecodeCT call emits exactly this many digits,
@@ -40,25 +45,62 @@ const CTDigits = 250
 
 // ctOffExp is the exponent of the positivity offset folded into the
 // Barrett numerator: x = 2·num + den + 2^ctOffExp·(2·den) is positive
-// for every |num| < 2^(ctOffExp+232), covering k < n times the ≤2^118
-// conjugate coordinates with four bits to spare.
+// for every |num| < 2^(ctOffExp+231) (den = n > 2^231), covering
+// k < 2^233 times the < 2^116 conjugate coordinates with two bits to
+// spare.
 const ctOffExp = 120
 
-// ct3 is a 192-bit two's-complement integer, least-significant word
-// first. It carries the recoding residues (|r_i| ≤ 2^117-ish).
-type ct3 [3]uint64
+// i128 is a 128-bit two's-complement integer. It carries the recoding
+// residues of both pipelines (|r_i| < 2^117, see partModCT) and the
+// rounded quotients of the partial reduction. Go keeps a two-field
+// struct in registers through the digit loops, where it spills an
+// array.
+type i128 struct{ lo, hi uint64 }
 
-// ctConsts holds the public precomputed constants of the constant-time
+// i128From sign-extends v.
+func i128From(v int64) i128 { return i128{uint64(v), uint64(v >> 63)} }
+
+func (x i128) add(y i128) i128 {
+	lo, c := bits.Add64(x.lo, y.lo, 0)
+	hi, _ := bits.Add64(x.hi, y.hi, c)
+	return i128{lo, hi}
+}
+
+func (x i128) sub(y i128) i128 {
+	lo, b := bits.Sub64(x.lo, y.lo, 0)
+	hi, _ := bits.Sub64(x.hi, y.hi, b)
+	return i128{lo, hi}
+}
+
+func (x i128) neg() i128 { return i128{}.sub(x) }
+
+// mul returns x·y mod 2^128, which is the two's-complement product
+// whenever the true product fits.
+func (x i128) mul(y i128) i128 {
+	hi, lo := bits.Mul64(x.lo, y.lo)
+	return i128{lo, hi + x.lo*y.hi + x.hi*y.lo}
+}
+
+// asr1 arithmetically shifts x right by one bit.
+func (x i128) asr1() i128 {
+	return i128{x.lo>>1 | x.hi<<63, uint64(int64(x.hi) >> 1)}
+}
+
+// isZero reports x == 0 via a branch on the aggregated bit only (used
+// after the fixed-length loop as a correctness assertion; the bit is
+// identical for every valid input, so the branch is data-independent).
+func (x i128) isZero() bool { return x.lo|x.hi == 0 }
+
+// ctConsts holds the public precomputed constants of the fixed-width
 // partial reduction, all derived from δ once.
 type ctConsts struct {
 	cA, cB       [2]uint64 // |conj(δ).A|, |conj(δ).B|
 	cAneg, cBneg uint64    // all-ones masks: coordinate is negative
-	dA, dB       [2]uint64 // |δ.A|, |δ.B|
-	dAneg, dBneg uint64
+	dA, dB       i128      // δ.A, δ.B
 	base         [6]uint64 // n + 2^(ctOffExp+1)·n: den + OFF·2den
-	twoN         [6]uint64 // 2n, zero-extended
+	n, twoN      [4]uint64 // n and 2n
 	rbar         [3]uint64 // floor(2^384 / 2n), the Barrett reciprocal
-	off          [3]uint64 // 2^ctOffExp
+	off          i128      // 2^ctOffExp
 }
 
 var (
@@ -66,19 +108,28 @@ var (
 	ctK    ctConsts
 )
 
-// fillWords decodes |x| into little-endian 64-bit words. It panics if
-// the magnitude does not fit, which for the δ-derived constants would
-// be an initialisation bug, not a data-dependent path.
-func fillWords(x *big.Int, dst []uint64) {
-	buf := make([]byte, len(dst)*8)
-	new(big.Int).Abs(x).FillBytes(buf)
-	for i := range dst {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			w = w<<8 | uint64(buf[len(buf)-8*(i+1)+j])
+// loadWords ORs |x| into the little-endian 64-bit words dst, which the
+// caller zeroes. It reads x's words in place, so it never allocates;
+// a magnitude wider than dst panics on the index.
+func loadWords(dst []uint64, x *big.Int) {
+	for i, d := range x.Bits() {
+		if bits.UintSize == 32 {
+			dst[i/2] |= uint64(d) << (32 * (i % 2))
+		} else {
+			dst[i] = uint64(d)
 		}
-		dst[i] = w
 	}
+}
+
+// i128FromBig converts x, which must satisfy |x| < 2^127.
+func i128FromBig(x *big.Int) i128 {
+	var w [2]uint64
+	loadWords(w[:], x)
+	z := i128{w[0], w[1]}
+	if x.Sign() < 0 {
+		z = z.neg()
+	}
+	return z
 }
 
 // negMask returns all-ones if x is negative.
@@ -93,44 +144,34 @@ func negMask(x *big.Int) uint64 {
 func ctInit() {
 	ctOnce.Do(func() {
 		deltaInit()
-		fillWords(deltaConj.A, ctK.cA[:])
-		fillWords(deltaConj.B, ctK.cB[:])
+		loadWords(ctK.cA[:], deltaConj.A)
+		loadWords(ctK.cB[:], deltaConj.B)
 		ctK.cAneg = negMask(deltaConj.A)
 		ctK.cBneg = negMask(deltaConj.B)
-		fillWords(deltaCached.A, ctK.dA[:])
-		fillWords(deltaCached.B, ctK.dB[:])
-		ctK.dAneg = negMask(deltaCached.A)
-		ctK.dBneg = negMask(deltaCached.B)
+		ctK.dA = i128FromBig(deltaCached.A)
+		ctK.dB = i128FromBig(deltaCached.B)
 		n := deltaNorm // N(δ) = group order
 		twoN := new(big.Int).Lsh(n, 1)
-		fillWords(twoN, ctK.twoN[:])
+		loadWords(ctK.n[:], n)
+		loadWords(ctK.twoN[:], twoN)
 		base := new(big.Int).Lsh(twoN, ctOffExp)
 		base.Add(base, n)
-		fillWords(base, ctK.base[:])
-		rbar := new(big.Int).Lsh(bigOne, 384)
+		loadWords(ctK.base[:], base)
+		rbar := new(big.Int).Lsh(big.NewInt(1), 384)
 		rbar.Div(rbar, twoN)
-		fillWords(rbar, ctK.rbar[:])
-		ctK.off[ctOffExp/64] = 1 << (ctOffExp % 64)
+		loadWords(ctK.rbar[:], rbar)
+		ctK.off.hi = 1 << (ctOffExp - 64)
 	})
 }
 
 // --- fixed-width word helpers (all constant-time: no branches, no
 // secret-dependent indices; slice lengths are public constants) ---
 
-// ctEqMask returns all-ones if a == b.
-func ctEqMask(a, b uint64) uint64 {
-	x := a ^ b
-	return ((x | -x) >> 63) - 1
-}
-
 // ctAddN sets z = x + y (equal lengths, wrapping).
 func ctAddN(z, x, y []uint64) {
 	var c uint64
 	for i := range z {
-		s := x[i] + c
-		c1 := b2u(s < c)
-		z[i] = s + y[i]
-		c = c1 | b2u(z[i] < s)
+		z[i], c = bits.Add64(x[i], y[i], c)
 	}
 }
 
@@ -139,60 +180,26 @@ func ctAddN(z, x, y []uint64) {
 func ctSubN(z, x, y []uint64) uint64 {
 	var b uint64
 	for i := range z {
-		d := x[i] - y[i]
-		b1 := b2u(x[i] < y[i])
-		z[i] = d - b
-		b = b1 | b2u(d < b)
+		z[i], b = bits.Sub64(x[i], y[i], b)
 	}
 	return b
 }
 
-// b2u converts a comparison result to 0/1 without a branch (the
-// compiler lowers this to a flag materialisation, not a jump).
-func b2u(v bool) uint64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// ctMulAcc accumulates z += x·y schoolbook; z must have
-// len(x)+len(y) words and enough headroom that the final carry is
-// absorbed (guaranteed when z starts zero).
-func ctMulAcc(z, x, y []uint64) {
+// ctMul sets z = x·y schoolbook; z must be zero and have
+// len(x)+len(y) words.
+func ctMul(z, x, y []uint64) {
 	for i, xi := range x {
 		var c uint64
 		for j, yj := range y {
-			hi, lo := mul64(xi, yj)
-			s := z[i+j] + lo
-			c1 := b2u(s < lo)
-			s2 := s + c
-			c2 := b2u(s2 < s)
-			z[i+j] = s2
-			c = hi + c1 + c2
+			hi, lo := bits.Mul64(xi, yj)
+			var cc uint64
+			lo, cc = bits.Add64(lo, z[i+j], 0)
+			hi += cc
+			lo, cc = bits.Add64(lo, c, 0)
+			z[i+j], c = lo, hi+cc
 		}
-		for k := i + len(y); k < len(z); k++ {
-			s := z[k] + c
-			c = b2u(s < c)
-			z[k] = s
-		}
+		z[i+len(y)] = c
 	}
-}
-
-// mul64 is a 64×64→128 multiply (bits.Mul64 spelled locally so the
-// helper list stays self-contained).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // ctNegCond conditionally negates z (two's complement) when mask is
@@ -200,65 +207,28 @@ func mul64(x, y uint64) (hi, lo uint64) {
 func ctNegCond(z []uint64, mask uint64) {
 	c := mask & 1
 	for i := range z {
-		v := (z[i] ^ mask) + c
-		c = mask & 1 & b2u(v < c)
-		z[i] = v
+		z[i], c = bits.Add64(z[i]^mask, 0, c)
 	}
-}
-
-// ctGeqMask returns all-ones if x ≥ y as unsigned values.
-func ctGeqMask(x, y []uint64) uint64 {
-	var t [8]uint64
-	b := ctSubN(t[:len(x)], x, y)
-	return b - 1 // borrow 0 → all-ones
 }
 
 // ctShl1 shifts z left by one bit in place.
 func ctShl1(z []uint64) {
 	var c uint64
 	for i := range z {
-		nc := z[i] >> 63
-		z[i] = z[i]<<1 | c
-		c = nc
+		z[i], c = z[i]<<1|c, z[i]>>63
 	}
 }
 
-// --- ct3 two's-complement operations ---
-
-func (x ct3) add(y ct3) (z ct3) { ctAddN(z[:], x[:], y[:]); return }
-func (x ct3) sub(y ct3) (z ct3) { ctSubN(z[:], x[:], y[:]); return }
-
-func (x ct3) neg() (z ct3) {
-	var zero ct3
-	ctSubN(z[:], zero[:], x[:])
+// ctNumerators returns the exact quotient numerators
+// num_i = k·conj(δ)_i of k/δ over the common denominator n, as signed
+// 6-word values.
+func ctNumerators(k [4]uint64) (numA, numB [6]uint64) {
+	ctMul(numA[:], k[:], ctK.cA[:])
+	ctNegCond(numA[:], ctK.cAneg)
+	ctMul(numB[:], k[:], ctK.cB[:])
+	ctNegCond(numB[:], ctK.cBneg)
 	return
 }
-
-// asr1 arithmetically shifts x right by one bit.
-func (x ct3) asr1() (z ct3) {
-	z[0] = x[0]>>1 | x[1]<<63
-	z[1] = x[1]>>1 | x[2]<<63
-	z[2] = uint64(int64(x[2]) >> 1)
-	return
-}
-
-// subInt64 subtracts a sign-extended small integer.
-func (x ct3) subInt64(v int64) ct3 {
-	s := uint64(v >> 63)
-	return x.sub(ct3{uint64(v), s, s})
-}
-
-// abs returns |x| and the all-ones mask of x's sign.
-func (x ct3) abs() (ct3, uint64) {
-	m := uint64(int64(x[2]) >> 63)
-	z := ct3{x[0] ^ m, x[1] ^ m, x[2] ^ m}
-	return z.subInt64(int64(m)), m // z − (−1) = z + 1 when negative
-}
-
-// isZero reports x == 0 via a branch on the aggregated bit only (used
-// after the fixed-length loop as a correctness assertion; the bit is
-// identical for every valid input, so the branch is data-independent).
-func (x ct3) isZero() bool { return x[0]|x[1]|x[2] == 0 }
 
 // ctRoundDiv computes f = floor((2·num + den) / (2·den)) — the
 // nearest integer to num/den with ties toward +∞, exactly
@@ -269,93 +239,79 @@ func (x ct3) isZero() bool { return x[0]|x[1]|x[2] == 0 }
 // x = 2·num + den + 2^ctOffExp·2den, followed by two masked
 // correction subtractions (the Barrett estimate is at most one short),
 // and the public offset is subtracted at the end.
-func ctRoundDiv(num [6]uint64) (f ct3) {
+//
+// It also returns the division's remainder r = x − (f + 2^ctOffExp)·2n
+// ∈ [0, 2n), from which roundNearest's residue num − f·n is (r − n)/2.
+func ctRoundDiv(num [6]uint64) (f i128, r [4]uint64) {
 	// x = base + 2·num (two's-complement wrap is exact: the true value
 	// is in [0, 2^354)).
 	x := num
 	ctShl1(x[:])
 	ctAddN(x[:], x[:], ctK.base[:])
-	// q = floor(x·rbar / 2^384), then at most two corrections.
+	// q = floor(x·rbar / 2^384) < 2^122, then at most two corrections.
 	var prod [9]uint64
-	ctMulAcc(prod[:], x[:], ctK.rbar[:])
-	q := ct3{prod[6], prod[7], prod[8]}
-	// q·2n fits six words (q < 2^122, 2n < 2^234); the seventh product
-	// word only absorbs ctMulAcc's transient carries.
-	var t [7]uint64
-	var r [6]uint64
-	ctMulAcc(t[:], q[:], ctK.twoN[:4])
-	ctSubN(r[:], x[:], t[:6])
+	ctMul(prod[:], x[:], ctK.rbar[:])
+	q := i128{prod[6], prod[7]}
+	// The remainder is below 3·2n < 2^236, so its low four words are
+	// exact.
+	qw := [2]uint64{q.lo, q.hi}
+	var t [6]uint64
+	ctMul(t[:], qw[:], ctK.twoN[:])
+	ctSubN(r[:], x[:4], t[:4])
 	for i := 0; i < 2; i++ {
-		m := ctGeqMask(r[:], ctK.twoN[:])
-		var sub [6]uint64
-		for j := range sub {
-			sub[j] = ctK.twoN[j] & m
+		var d [4]uint64
+		m := ctSubN(d[:], r[:], ctK.twoN[:]) - 1 // all-ones: r ≥ 2n
+		for j := range r {
+			r[j] ^= (r[j] ^ d[j]) & m
 		}
-		ctSubN(r[:], r[:], sub[:])
-		q = q.subInt64(-int64(m & 1))
+		q = q.add(i128{m & 1, 0})
 	}
-	return q.sub(ct3(ctK.off))
+	return q.sub(ctK.off), r
 }
 
-// ctMulSigned returns the signed 5-word product of a 3-word
-// two's-complement value with a 2-word magnitude whose sign mask is
-// cneg.
-func ctMulSigned(q ct3, c [2]uint64, cneg uint64) (p [5]uint64) {
-	qa, qneg := q.abs()
-	ctMulAcc(p[:], qa[:], c[:])
-	ctNegCond(p[:], qneg^cneg)
-	return
+// ctResidue returns ρ = k − (qa + qb·τ)·δ, expanded by τ² = µτ − 2
+// (µ = −1):
+//
+//	re = qa·dA − 2·qb·dB,  im = qa·dB + qb·dA − qb·dB,  ρ = (k − re, −im).
+//
+// Every product runs mod 2^128: the residue coordinates are below
+// 2^117, so the wrapped two's-complement result is exact.
+func ctResidue(k [4]uint64, qa, qb i128) (r0, r1 i128) {
+	qbdB := qb.mul(ctK.dB)
+	re := qa.mul(ctK.dA).sub(qbdB.add(qbdB))
+	im := qa.mul(ctK.dB).add(qb.mul(ctK.dA)).sub(qbdB)
+	return i128{k[0], k[1]}.sub(re), im.neg()
 }
 
 // partModCT partially reduces the scalar k (little-endian words,
 // 0 ≤ k < n) modulo δ on fixed-width words: ρ = k − round(k·conj(δ)/n)·δ
 // with per-coordinate nearest rounding, so N(ρ) ≤ N(δ) and ρ ≡ k (mod δ).
-func partModCT(k [4]uint64) (r0, r1 ct3) {
+// N(ρ) ≤ N(δ) puts both coordinates of ρ below 2^117.
+func partModCT(k [4]uint64) (r0, r1 i128) {
 	ctInit()
-	// Exact quotient numerators num_i = k·conj(δ)_i over the common
-	// denominator n.
-	var numA, numB [6]uint64
-	ctMulAcc(numA[:], k[:], ctK.cA[:])
-	ctNegCond(numA[:], ctK.cAneg)
-	ctMulAcc(numB[:], k[:], ctK.cB[:])
-	ctNegCond(numB[:], ctK.cBneg)
-	qa := ctRoundDiv(numA)
-	qb := ctRoundDiv(numB)
-	// r = k − q·δ expanded by τ² = µτ − 2 (µ = −1):
-	//   re = qa·dA − 2·qb·dB,  im = qa·dB + qb·dA − qb·dB.
-	t1 := ctMulSigned(qa, ctK.dA, ctK.dAneg)
-	t2 := ctMulSigned(qb, ctK.dB, ctK.dBneg)
-	t3 := ctMulSigned(qa, ctK.dB, ctK.dBneg)
-	t4 := ctMulSigned(qb, ctK.dA, ctK.dAneg)
-	var re, im, t2s [5]uint64
-	t2s = t2
-	ctShl1(t2s[:])
-	ctSubN(re[:], t1[:], t2s[:])
-	ctAddN(im[:], t3[:], t4[:])
-	ctSubN(im[:], im[:], t2[:])
-	var k5, r05 [5]uint64
-	copy(k5[:], k[:])
-	ctSubN(r05[:], k5[:], re[:])
-	var zero [5]uint64
-	ctSubN(im[:], zero[:], im[:])
-	// |r_i| < 2^118, so truncating the two's-complement value to three
-	// words is exact.
-	r0 = ct3{r05[0], r05[1], r05[2]}
-	r1 = ct3{im[0], im[1], im[2]}
-	return
+	numA, numB := ctNumerators(k)
+	qa, _ := ctRoundDiv(numA)
+	qb, _ := ctRoundDiv(numB)
+	return ctResidue(k, qa, qb)
+}
+
+// ctEqMask returns all-ones if a == b.
+func ctEqMask(a, b uint64) uint64 {
+	x := a ^ b
+	return ((x | -x) >> 63) - 1
 }
 
 // recodeCT runs the fixed-length width-w TNAF digit loop on the
 // residues: exactly len(digits) iterations, each performing the same
 // instruction sequence — branchless digit extraction, a full masked
 // scan of the α table, branchless sign handling and the τ division.
-func recodeCT(r0, r1 ct3, w int, digits []int8) {
+func recodeCT(r0, r1 i128, w int, digits []int8) {
 	alphaA, alphaB := alphaInt64(w)
 	tw := uint64(TW(w))
 	mask := uint64(1)<<w - 1
 	for i := range digits {
-		odd := -(r0[0] & 1) // all-ones if r0 is odd
-		m := (r0[0] + r1[0]*tw) & mask
+		odd := -(r0.lo & 1) // all-ones if r0 is odd
+		m := (r0.lo + r1.lo*tw) & mask
 		// Symmetric residue mods 2^w, zeroed when r0 is even.
 		d := int64(m) - int64((m>>(w-1))&1)<<w
 		d &= int64(odd)
@@ -373,8 +329,8 @@ func recodeCT(r0, r1 ct3, w int, digits []int8) {
 		// on even iterations (idx would otherwise select α_1).
 		sa = ((sa ^ sign) - sign) & int64(odd)
 		sb = ((sb ^ sign) - sign) & int64(odd)
-		r0 = r0.subInt64(sa)
-		r1 = r1.subInt64(sb)
+		r0 = r0.sub(i128From(sa))
+		r1 = r1.sub(i128From(sb))
 		digits[i] = int8(d)
 		// (r0, r1) ← (r0 + r1τ)/τ = (r1 + µ·r0/2, −r0/2) with µ = −1.
 		half := r0.asr1()

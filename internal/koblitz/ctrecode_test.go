@@ -104,7 +104,7 @@ func TestRecodeCTNormBound(t *testing.T) {
 			}
 		}
 		r0, r1 := partModCT(kw)
-		rho := ZTau{ct3ToBig(r0), ct3ToBig(r1)}
+		rho := ZTau{i128ToBig(r0), i128ToBig(r1)}
 		if rho.Norm().Cmp(Delta().Norm()) > 0 {
 			t.Fatalf("k=%v: N(ρ) exceeds N(δ)", k)
 		}
@@ -115,18 +115,16 @@ func TestRecodeCTNormBound(t *testing.T) {
 	}
 }
 
-// ct3ToBig converts a two's-complement ct3 back to a big.Int (test
+// i128ToBig converts a two's-complement i128 back to a big.Int (test
 // helper only).
-func ct3ToBig(x ct3) *big.Int {
-	neg := int64(x[2]) < 0
+func i128ToBig(x i128) *big.Int {
+	neg := int64(x.hi) < 0
 	if neg {
 		x = x.neg()
 	}
-	v := new(big.Int)
-	for i := 2; i >= 0; i-- {
-		v.Lsh(v, 64)
-		v.Or(v, new(big.Int).SetUint64(x[i]))
-	}
+	v := new(big.Int).SetUint64(x.hi)
+	v.Lsh(v, 64)
+	v.Or(v, new(big.Int).SetUint64(x.lo))
 	if neg {
 		v.Neg(v)
 	}

@@ -367,3 +367,36 @@ func BenchmarkWTNAF4(b *testing.B) {
 		WTNAF(rho, 4)
 	}
 }
+
+// BenchmarkRecode times the fast entry points over 64 random scalars
+// below n (and 63-bit weights for intinto, as the linear-combination
+// verifier draws them): w=4 is the per-call kP width, w=10 the per-key
+// table width and w=12 the generator's joint-verification width.
+func BenchmarkRecode(b *testing.B) {
+	rnd := rand.New(rand.NewSource(1))
+	ks := make([]*big.Int, 64)
+	ws := make([]uint64, len(ks))
+	for i := range ks {
+		ks[i] = new(big.Int).Rand(rnd, orderK233)
+		ws[i] = rnd.Uint64() >> 1
+	}
+	var s Scratch
+	var buf []int16
+	for _, c := range []struct {
+		name string
+		fn   func(i int)
+	}{
+		{"w=4", func(i int) { s.Recode(ks[i%len(ks)], 4) }},
+		{"w=10", func(i int) { s.RecodeWide(ks[i%len(ks)], 10) }},
+		{"w=12", func(i int) { s.RecodeWide(ks[i%len(ks)], 12) }},
+		{"into", func(i int) { buf = s.RecodeInto(ks[i%len(ks)], 4, buf) }},
+		{"intinto", func(i int) { buf = s.RecodeIntInto(ws[i%len(ws)], 5, buf) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.fn(i)
+			}
+		})
+	}
+}

@@ -9,22 +9,22 @@ import (
 // (internal/core/multiscalar.go), which needs MANY digit strings live
 // at once — one per aggregated term — where the Scratch's own
 // twin-buffer pipeline (RecodeWide/RecodeWideSecond) can hold only two.
-// The Scratch still provides the big.Int arena for the reduction loop;
-// only the digit storage moves to the caller.
+// The reduction and the digit loop keep their state on the stack, so
+// these calls use no Scratch storage at all; they stay methods so the
+// evaluator recodes through one value.
 
 // RecodeInto is RecodeWide writing into a caller-provided digit buffer:
 // partial reduction of k modulo δ followed by width-w TNAF recoding,
 // appended to buf[:0] (grown only when capacity is insufficient, so a
 // retained buffer makes the call allocation-free in steady state). The
-// Scratch's arena is reused — the returned digits do NOT alias the
-// Scratch and stay valid across later recodings on it.
+// returned digits do NOT alias the Scratch and stay valid across later
+// recodings on it.
 func (s *Scratch) RecodeInto(k *big.Int, w int, buf []int16) []int16 {
 	if w < MinW || w > MaxWide {
 		panic(fmt.Sprintf("koblitz: unsupported window width %d", w))
 	}
-	s.begin()
-	r0, r1 := s.partMod(k)
-	return scratchRecode(s, r0, r1, w, buf[:0])
+	r0, r1 := reduce(k)
+	return recode(r0, r1, w, buf[:0])
 }
 
 // RecodeIntInto recodes the plain non-negative integer k — WITHOUT the
@@ -43,8 +43,5 @@ func (s *Scratch) RecodeIntInto(k uint64, w int, buf []int16) []int16 {
 	if w < MinW || w > MaxWide {
 		panic(fmt.Sprintf("koblitz: unsupported window width %d", w))
 	}
-	s.begin()
-	r0 := s.grab().SetUint64(k)
-	r1 := s.grab().SetInt64(0)
-	return scratchRecode(s, r0, r1, w, buf[:0])
+	return recode(i128{lo: k}, i128{}, w, buf[:0])
 }

@@ -5,21 +5,22 @@ import (
 	"math/big"
 )
 
-// Scratch threads reusable recoding state through the τ-adic pipeline
-// so the per-scalar-multiplication hot path stops allocating. A
-// Scratch owns a small arena of big.Int temporaries plus a digit
-// buffer; Recode runs partial reduction and width-w TNAF recoding
-// entirely inside them, so after the first call (which grows the arena
-// and the buffers to their steady-state sizes) a Recode performs zero
-// heap allocations.
+// Scratch holds the digit buffers of the fast τ-adic pipeline so the
+// per-scalar-multiplication hot path stops allocating. Recode reduces
+// k modulo δ on fixed-width words (partModWords) and recodes the
+// two-word residues in one digit loop (recode); nothing but the digit
+// strings outlives a call, so after the first call (which grows the
+// buffers to their steady-state sizes) a Recode performs zero heap
+// allocations. Scalars 0 ≤ k < 2^fastBits — every reduced scalar the
+// library recodes — stay on words; any other big.Int is reduced by the
+// reference PartMod, which allocates, and then enters the same digit
+// loop. The zero value is ready to use.
 //
 // A Scratch is NOT safe for concurrent use; give each goroutine its
 // own (the batch engine keeps one per worker, core pools them). The
 // digit slice returned by Recode aliases the Scratch and is only valid
 // until the next call.
 type Scratch struct {
-	ints   []*big.Int
-	next   int
 	digits []int8
 	// digitsW and digitsW2 are the int16 twin buffers of the
 	// wide-window pipeline (RecodeWide/RecodeWideSecond), which
@@ -32,20 +33,6 @@ type Scratch struct {
 	// carry secrets and are zeroed by Wipe.
 	digitsCT []int8
 	ctBuf    [32]byte
-}
-
-// begin resets the arena for a fresh top-level recoding.
-func (s *Scratch) begin() { s.next = 0 }
-
-// grab returns the next arena big.Int, allocating only the first time
-// each slot is used.
-func (s *Scratch) grab() *big.Int {
-	if s.next == len(s.ints) {
-		s.ints = append(s.ints, new(big.Int))
-	}
-	v := s.ints[s.next]
-	s.next++
-	return v
 }
 
 // WipeInt zeroes v's storage — including capacity beyond the current
@@ -63,16 +50,13 @@ func WipeInt(v *big.Int) {
 	v.SetInt64(0)
 }
 
-// Wipe zeroes every value the Scratch retains — the arena integers
-// (including capacity beyond their current word counts) and the digit
-// buffer — while keeping the storage for reuse. The recoding of a
-// secret scalar is invertible (Reconstruct recovers it), so callers
-// that recode nonces or private keys wipe before the Scratch idles in
-// a pool.
+// Wipe zeroes every digit buffer the Scratch retains (including
+// capacity beyond the current lengths) and the constant-time staging
+// bytes, while keeping the storage for reuse. The recoding of a secret
+// scalar is invertible (Reconstruct recovers it), so callers that
+// recode nonces or private keys wipe before the Scratch idles in a
+// pool.
 func (s *Scratch) Wipe() {
-	for _, v := range s.ints {
-		WipeInt(v)
-	}
 	for i := range s.ctBuf {
 		s.ctBuf[i] = 0
 	}
@@ -88,22 +72,21 @@ func (s *Scratch) Wipe() {
 			digits[i] = 0
 		}
 	}
-	s.next = 0
 }
 
 // Recode is the scratch-backed equivalent of
 // WTNAF(PartMod(k), w): partial reduction of k modulo δ followed by
 // width-w TNAF recoding. The returned digits alias the Scratch's
 // buffer and are valid until the next Recode. The digit semantics are
-// identical to WTNAF's (the differential test in scratch_test.go holds
-// the two paths equal), only the allocation behavior differs.
+// identical to WTNAF's (the differential tests in scratch_test.go and
+// FuzzRecodeVsReference hold the two paths equal), only the cost
+// differs.
 func (s *Scratch) Recode(k *big.Int, w int) []int8 {
 	if w < MinW || w > MaxW {
 		panic(fmt.Sprintf("koblitz: unsupported window width %d", w))
 	}
-	s.begin()
-	r0, r1 := s.partMod(k)
-	s.digits = scratchRecode(s, r0, r1, w, s.digits[:0])
+	r0, r1 := reduce(k)
+	s.digits = recode(r0, r1, w, s.digits[:0])
 	return s.digits
 }
 
@@ -117,9 +100,8 @@ func (s *Scratch) RecodeWide(k *big.Int, w int) []int16 {
 	if w < MinW || w > MaxWide {
 		panic(fmt.Sprintf("koblitz: unsupported window width %d", w))
 	}
-	s.begin()
-	r0, r1 := s.partMod(k)
-	s.digitsW = scratchRecode(s, r0, r1, w, s.digitsW[:0])
+	r0, r1 := reduce(k)
+	s.digitsW = recode(r0, r1, w, s.digitsW[:0])
 	return s.digitsW
 }
 
@@ -127,8 +109,7 @@ func (s *Scratch) RecodeWide(k *big.Int, w int) []int16 {
 // wide digit buffer, so the joint double-scalar caller can hold both
 // of its recodings at once. The returned digits stay valid across
 // later RecodeWide calls — only the next RecodeWideSecond (or Wipe)
-// invalidates them. The big.Int arena is shared, which is fine: digits
-// are fully extracted before any later recoding runs.
+// invalidates them.
 func (s *Scratch) RecodeWideSecond(k *big.Int, w int) []int16 {
 	s.digitsW, s.digitsW2 = s.digitsW2, s.digitsW
 	d := s.RecodeWide(k, w)
@@ -136,194 +117,138 @@ func (s *Scratch) RecodeWideSecond(k *big.Int, w int) []int16 {
 	return d
 }
 
-// partMod reduces k modulo δ into arena integers: the scratch twin of
-// PartMod/RoundDiv specialised to x = k + 0·τ and y = δ, with conj(δ)
-// and N(δ) served from the package cache instead of being recomputed.
-func (s *Scratch) partMod(k *big.Int) (r0, r1 *big.Int) {
-	deltaInit()
-	// x·conj(δ) = (k·cA, k·cB): the exact quotient's numerators over
-	// the common denominator N(δ).
-	num0 := s.grab().Mul(k, deltaConj.A)
-	num1 := s.grab().Mul(k, deltaConj.B)
-	qa, qb := s.roundLattice(num0, num1, deltaNorm)
-	// r = k − q·δ with q·δ expanded by the Z[τ] product formula
-	// (τ² = µτ − 2): re = qa·dA − 2·qb·dB, im = qa·dB + qb·dA + µ·qb·dB.
-	re := s.grab().Mul(qa, deltaCached.A)
-	t := s.grab().Mul(qb, deltaCached.B)
-	im := s.grab().Mul(qa, deltaCached.B)
-	t2 := s.grab().Mul(qb, deltaCached.A)
-	im.Add(im, t2)
-	if Mu < 0 {
-		im.Sub(im, t)
-	} else {
-		im.Add(im, t)
+// fastBits bounds the scalars reduced on words: below 2^fastBits the
+// Barrett numerator of ctRoundDiv stays positive and its quotient fits
+// two words. Every scalar the library recodes is reduced mod n < 2^232.
+const fastBits = 233
+
+// reduce returns PartMod(k)'s coordinates as two-word residues: on
+// fixed-width words for 0 ≤ k < 2^fastBits, through the reference
+// PartMod for any other k. Both coordinates of a partially reduced
+// scalar are below 2^117, whatever k was.
+func reduce(k *big.Int) (r0, r1 i128) {
+	if k.Sign() >= 0 && k.BitLen() <= fastBits {
+		var kw [4]uint64
+		loadWords(kw[:], k)
+		return partModWords(kw)
 	}
-	re.Sub(re, t.Lsh(t, 1))
-	r0 = re.Sub(k, re)
-	r1 = im.Neg(im)
-	return r0, r1
+	rho := PartMod(k)
+	return i128FromBig(rho.A), i128FromBig(rho.B)
 }
 
-// roundNearest is the arena twin of the package-level roundNearest.
-// The floor division runs as QuoRem on arena receivers (Div would
-// allocate its internal remainder on every call).
-func (s *Scratch) roundNearest(num, den *big.Int) (f, res *big.Int) {
-	t := s.grab().Lsh(num, 1)
-	t.Add(t, den)
-	rem := s.grab()
-	f, _ = s.grab().QuoRem(t, s.grab().Lsh(den, 1), rem)
-	if rem.Sign() < 0 {
-		// Truncated → floor for the positive divisor 2·den.
-		f.Sub(f, bigOne)
-	}
-	res = s.grab().Mul(f, den)
-	res.Sub(num, res)
-	return f, res
+// partModWords is PartMod on fixed-width words: the constant-time
+// per-coordinate rounding of partModCT followed by Solinas' Routine 60
+// lattice correction, so the representative is exactly PartMod(k)'s
+// and N(ρ) ≤ (4/7)·N(δ). The caller supplies 0 ≤ k < 2^fastBits.
+func partModWords(k [4]uint64) (r0, r1 i128) {
+	ctInit()
+	numA, numB := ctNumerators(k)
+	fa, ra := ctRoundDiv(numA)
+	fb, rb := ctRoundDiv(numB)
+	h0, h1 := latticeCorrection(ra, rb)
+	return ctResidue(k, fa.add(i128From(h0)), fb.add(i128From(h1)))
 }
 
-// lowWord returns x mod 2^64 in two's complement (the value of the
-// least-significant word adjusted for sign), without allocating. The
-// recoding loops use it to extract digit residues mod 2^w directly
-// instead of running big.Int divisions per digit.
-func lowWord(x *big.Int) uint64 {
-	var w uint64
-	if b := x.Bits(); len(b) > 0 {
-		w = uint64(b[0])
-	}
-	if x.Sign() < 0 {
-		w = -w
-	}
-	return w
-}
-
-// roundLattice is the arena twin of the package-level roundLattice
-// (Solinas Routine 60); the returned integers are arena-owned.
-func (s *Scratch) roundLattice(num0, num1, den *big.Int) (q0, q1 *big.Int) {
-	f0, e0 := s.roundNearest(num0, den)
-	f1, e1 := s.roundNearest(num1, den)
-	etaD := s.grab().Lsh(e0, 1)
-	if Mu < 0 {
-		etaD.Sub(etaD, e1)
-	} else {
-		etaD.Add(etaD, e1)
-	}
-	t1 := s.grab().SetInt64(3 * int64(Mu))
-	t1.Mul(t1, e1)
-	t1.Sub(e0, t1)
-	t2 := s.grab().SetInt64(4 * int64(Mu))
-	t2.Mul(t2, e1)
-	t2.Add(e0, t2)
-	negDen := s.grab().Neg(den)
-	twoDen := s.grab().Lsh(den, 1)
-	negTwoDen := s.grab().Neg(twoDen)
-
-	h0, h1 := int64(0), int64(0)
-	if etaD.Cmp(den) >= 0 {
-		if t1.Cmp(negDen) < 0 {
-			h1 = int64(Mu)
+// latticeCorrection is roundLattice's data-dependent step on words
+// (µ = −1). ra and rb are ctRoundDiv's remainders, from which the
+// rounding residues over the denominator n are e_i = (r_i − n)/2 with
+// |e_i| ≤ n/2; it returns the (h0, h1) that roundLattice adds to the
+// per-coordinate rounding. Every compared quantity is below 3n < 2^234
+// in magnitude, so four-word two's complement holds it exactly.
+func latticeCorrection(ra, rb [4]uint64) (h0, h1 int64) {
+	e0, e1 := halfResidue(ra), halfResidue(rb)
+	e1x2 := add4(e1, e1)
+	eta := sub4(add4(e0, e0), e1)    // η·n = (2η0 + µη1)·n
+	t1 := add4(add4(e0, e1x2), e1)   // (η0 − 3µη1)·n
+	t2 := sub4(e0, add4(e1x2, e1x2)) // (η0 + 4µη1)·n
+	n, twoN := ctK.n, ctK.twoN
+	negN, negTwoN := sub4([4]uint64{}, n), sub4([4]uint64{}, twoN)
+	if !less4(eta, n) {
+		if less4(t1, negN) {
+			h1 = Mu
 		} else {
 			h0 = 1
 		}
-	} else {
-		if t2.Cmp(twoDen) >= 0 {
-			h1 = int64(Mu)
-		}
+	} else if !less4(t2, twoN) {
+		h1 = Mu
 	}
-	if etaD.Cmp(negDen) < 0 {
-		if t1.Cmp(den) >= 0 {
-			h1 = -int64(Mu)
+	if less4(eta, negN) {
+		if !less4(t1, n) {
+			h1 = -Mu
 		} else {
 			h0 = -1
 		}
-	} else {
-		if t2.Cmp(negTwoDen) < 0 {
-			h1 = -int64(Mu)
-		}
+	} else if less4(t2, negTwoN) {
+		h1 = -Mu
 	}
-	q0 = f0.Add(f0, s.grab().SetInt64(h0))
-	q1 = f1.Add(f1, s.grab().SetInt64(h1))
-	return q0, q1
+	return h0, h1
 }
 
-// scratchRecode runs the width dispatch shared by the int8 and int16
-// pipelines (methods cannot be generic, hence the free function).
-func scratchRecode[T Digit](s *Scratch, r0, r1 *big.Int, w int, digits []T) []T {
-	if w == 2 {
-		return scratchTNAF(s, r0, r1, digits)
+// halfResidue returns (r − n)/2, exact because r and n are both odd.
+func halfResidue(r [4]uint64) [4]uint64 {
+	d := sub4(r, ctK.n)
+	return [4]uint64{
+		d[0]>>1 | d[1]<<63,
+		d[1]>>1 | d[2]<<63,
+		d[2]>>1 | d[3]<<63,
+		uint64(int64(d[3]) >> 1),
 	}
-	return scratchWTNAF(s, r0, r1, w, digits)
 }
 
-// scratchTNAF is the arena twin of TNAF; r0 and r1 are consumed in
-// place. The digit rule only depends on the residues mod 4, which
-// lowWord serves without per-digit big.Int arithmetic.
-func scratchTNAF[T Digit](s *Scratch, r0, r1 *big.Int, digits []T) []T {
-	t := s.grab()
-	half := s.grab()
-	for r0.Sign() != 0 || r1.Sign() != 0 {
-		if r0.BitLen() <= smallBits && r1.BitLen() <= smallBits {
-			return tnafSmall(r0.Int64(), r1.Int64(), digits)
-		}
-		if len(digits) > maxDigits {
-			panic("koblitz: TNAF did not terminate")
-		}
-		var u int64
-		if r0.Bit(0) == 1 {
-			// u = 2 − ((r0 − 2r1) mod 4) ∈ {1, −1}.
-			m := (lowWord(r0) - 2*lowWord(r1)) & 3
-			u = 2 - int64(m)
-			r0.Sub(r0, t.SetInt64(u))
-		}
-		digits = append(digits, T(u))
-		divTauInPlace(r0, r1, half)
-	}
-	return digits
+func add4(x, y [4]uint64) (z [4]uint64) { ctAddN(z[:], x[:], y[:]); return }
+func sub4(x, y [4]uint64) (z [4]uint64) { ctSubN(z[:], x[:], y[:]); return }
+
+// less4 reports x < y for four-word two's-complement values whose
+// difference does not overflow.
+func less4(x, y [4]uint64) bool { return int64(sub4(x, y)[3]) < 0 }
+
+// small reports |x| < 2^smallBits (big.Int's BitLen(x) ≤ smallBits):
+// once both residues are small the digit loop hands off to the int64
+// tail.
+func (x i128) small() bool {
+	v := int64(x.lo)
+	return x.hi == uint64(v>>63) && v > -1<<smallBits && v < 1<<smallBits
 }
 
-// scratchWTNAF is the arena twin of WTNAF for w >= 3; r0 and r1 are
-// consumed in place.
-func scratchWTNAF[T Digit](s *Scratch, r0, r1 *big.Int, w int, digits []T) []T {
+// recode appends the width-w TNAF of r0 + r1·τ to digits: WTNAF's
+// big.Int loop ported to two-word residues, handing off to the int64
+// tail once both fit it. It serves w = 2 as well: there t_2 = 2 and
+// α_1 = 1, so the window digit (r0 + 2r1) mods 4 is TNAF's
+// 2 − ((r0 − 2r1) mod 4) and the digit strings coincide.
+func recode[T Digit](r0, r1 i128, w int, digits []T) []T {
 	alphaA, alphaB := alphaInt64(w)
-	twi := TW(w)
+	tw := TW(w)
 	mask := uint64(1)<<w - 1
 	halfW := uint64(1) << (w - 1)
-
-	tmp := s.grab()
-	half := s.grab()
-	for r0.Sign() != 0 || r1.Sign() != 0 {
-		if r0.BitLen() <= smallBits && r1.BitLen() <= smallBits {
-			return wtnafSmall(r0.Int64(), r1.Int64(), w, twi, alphaA, alphaB, digits)
-		}
+	for !r0.small() || !r1.small() {
 		if len(digits) > maxDigits {
 			panic("koblitz: WTNAF did not terminate")
 		}
 		var u int64
-		if r0.Bit(0) == 1 {
+		if r0.lo&1 == 1 {
 			// u = (r0 + r1·t_w) mods 2^w — the odd symmetric residue,
-			// extracted from the low words (the masked unsigned
-			// arithmetic is exact mod 2^w regardless of signs).
-			m := (lowWord(r0) + lowWord(r1)*uint64(twi)) & mask
+			// read from the low words (the masked unsigned arithmetic
+			// is exact mod 2^w regardless of signs).
+			m := (r0.lo + r1.lo*uint64(tw)) & mask
+			u = int64(m)
 			if m >= halfW {
-				u = int64(m) - int64(1)<<w
-			} else {
-				u = int64(m)
+				u -= 1 << w
 			}
 			if u > 0 {
-				r0.Sub(r0, tmp.SetInt64(alphaA[u>>1]))
-				r1.Sub(r1, tmp.SetInt64(alphaB[u>>1]))
+				r0 = r0.sub(i128From(alphaA[u>>1]))
+				r1 = r1.sub(i128From(alphaB[u>>1]))
 			} else {
-				r0.Add(r0, tmp.SetInt64(alphaA[(-u)>>1]))
-				r1.Add(r1, tmp.SetInt64(alphaB[(-u)>>1]))
+				r0 = r0.add(i128From(alphaA[(-u)>>1]))
+				r1 = r1.add(i128From(alphaB[(-u)>>1]))
 			}
 		}
 		digits = append(digits, T(u))
-		divTauInPlace(r0, r1, half)
+		// (r0, r1) ← (r0 + r1τ)/τ = (r1 + µ·r0/2, −r0/2) with µ = −1.
+		half := r0.asr1()
+		r0, r1 = r1.sub(half), half.neg()
 	}
-	return digits
+	return wtnafSmall(int64(r0.lo), int64(r1.lo), w, tw, alphaA, alphaB, digits)
 }
-
-// bigOne is the shared, never-written constant 1.
-var bigOne = big.NewInt(1)
 
 // AlphaCoeffs returns the cached int64 coordinates of the width-w
 // window representatives: AlphaCoeffs(w) = (a, b) with

@@ -41,8 +41,10 @@ func TestScratchRecodeMatchesReference(t *testing.T) {
 }
 
 // TestScratchWipe checks that Wipe leaves no trace of the recoded
-// scalar: the digit buffer (invertible back to the scalar) and every
-// arena integer, including capacity words, must read zero.
+// scalar: every digit buffer (each invertible back to the scalar),
+// including capacity beyond its length, and the constant-time staging
+// bytes must read zero. The residues never outlive a call, so the
+// buffers are all a Scratch retains.
 func TestScratchWipe(t *testing.T) {
 	var s Scratch
 	k := new(big.Int).Lsh(big.NewInt(0xdeadbeef), 180)
@@ -56,19 +58,30 @@ func TestScratchWipe(t *testing.T) {
 	if !nonzero {
 		t.Fatal("test scalar recoded to all zeros")
 	}
+	s.RecodeWide(k, 10)
+	s.RecodeWideSecond(k, 12)
+	s.RecodeCT(k, 4)
 	s.Wipe()
-	full := s.digits[:cap(s.digits)]
-	for i, d := range full {
-		if d != 0 {
-			t.Fatalf("digit %d survived Wipe", i)
+	for name, buf := range map[string][]int8{"digits": s.digits, "digitsCT": s.digitsCT} {
+		for i, d := range buf[:cap(buf)] {
+			if d != 0 {
+				t.Fatalf("%s[%d] survived Wipe", name, i)
+			}
 		}
 	}
-	for i, v := range s.ints {
-		bits := v.Bits()
-		for j, w := range bits[:cap(bits)] {
-			if w != 0 {
-				t.Fatalf("arena int %d word %d survived Wipe", i, j)
+	for name, buf := range map[string][]int16{"digitsW": s.digitsW, "digitsW2": s.digitsW2} {
+		if cap(buf) == 0 {
+			t.Fatalf("%s was never filled", name)
+		}
+		for i, d := range buf[:cap(buf)] {
+			if d != 0 {
+				t.Fatalf("%s[%d] survived Wipe", name, i)
 			}
+		}
+	}
+	for i, b := range s.ctBuf {
+		if b != 0 {
+			t.Fatalf("ctBuf[%d] survived Wipe", i)
 		}
 	}
 	// The scratch must still work after a wipe.
@@ -102,6 +115,39 @@ func TestScratchRecodeReconstructs(t *testing.T) {
 			// got − want must be a multiple of δ; for the digit strings
 			// produced here it is in fact always exactly equal.
 			t.Fatalf("k=%v: reconstructed %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestPartModWordsMatchesPartMod holds the fixed-width reduction to the
+// reference PartMod coordinate for coordinate, over random scalars of
+// every size below 2^fastBits, and checks that the sample reaches each
+// of Routine 60's four lattice corrections (the branches that make the
+// representative PartMod's rather than partModCT's).
+func TestPartModWordsMatchesPartMod(t *testing.T) {
+	ctInit()
+	rnd := rand.New(rand.NewSource(99))
+	bound := new(big.Int).Lsh(big.NewInt(1), fastBits)
+	seen := map[[2]int64]bool{}
+	for i := 0; i < 2000; i++ {
+		k := new(big.Int).Rand(rnd, bound)
+		k.Rsh(k, uint(rnd.Intn(fastBits)))
+		var kw [4]uint64
+		loadWords(kw[:], k)
+		numA, numB := ctNumerators(kw)
+		_, ra := ctRoundDiv(numA)
+		_, rb := ctRoundDiv(numB)
+		h0, h1 := latticeCorrection(ra, rb)
+		seen[[2]int64{h0, h1}] = true
+		r0, r1 := partModWords(kw)
+		want := PartMod(k)
+		if i128ToBig(r0).Cmp(want.A) != 0 || i128ToBig(r1).Cmp(want.B) != 0 {
+			t.Fatalf("k=%v: partModWords (%v, %v), PartMod %v", k, i128ToBig(r0), i128ToBig(r1), want)
+		}
+	}
+	for _, h := range [][2]int64{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+		if !seen[h] {
+			t.Errorf("no scalar reached the lattice correction (h0, h1) = %v", h)
 		}
 	}
 }
