@@ -13,7 +13,12 @@
 #                  backends, the batched inversion and the fast τ-adic
 #                  recoding, and the
 #                  zero-alloc guards (which must run WITHOUT -race,
-#                  hence the separate pass)
+#                  hence the separate pass), and a vet of the whole
+#                  module for arm64
+#   make cross   - `go vet ./...` with GOARCH=arm64: type-checks the
+#                  non-amd64 build, whose clmul_noasm.go must stub every
+#                  assembly entry point (neither an amd64 build nor an
+#                  amd64 vet would notice a missing stub)
 #   make api     - the public-surface guards: the exported-API golden
 #                  test and interface-conformance checks, the wire-format
 #                  KATs, and a fuzz smoke of the two hostile-input
@@ -59,7 +64,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet vet-bench test test64 race fuzz alloc api bench bench-verify bench-ecqv bench-sign ct chaos load serve-smoke ci
+.PHONY: all build fmt vet vet-bench cross test test64 race fuzz alloc api bench bench-verify bench-ecqv bench-sign ct chaos load serve-smoke ci
 
 all: ci
 
@@ -83,6 +88,11 @@ vet:
 # break only the benchmark fail the pre-merge check instead.
 vet-bench:
 	$(GO) -C bench vet ./...
+
+# The library's only architecture-specific code is the CLMUL assembly;
+# vetting for arm64 type-checks the pure-Go build with its stubs.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -174,4 +184,4 @@ load:
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-ci: build fmt vet vet-bench race test64 fuzz alloc api ct chaos serve-smoke
+ci: build fmt vet vet-bench cross race test64 fuzz alloc api ct chaos serve-smoke

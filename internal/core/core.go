@@ -97,22 +97,34 @@ func alphaPointLD(al koblitz.ZTau, p, tp, sum, dif ec.Affine) ec.LD {
 }
 
 // scalarMultDigits64 evaluates Σ ξ_i τ^i applied to the precomputed
-// table with a left-to-right Horner loop over the recoded digits: the
-// accumulator is hit with the (cheap) Frobenius once per digit and a
-// mixed LD-affine addition once per nonzero digit. The result is left
-// projective so batch callers can share the final inversion.
+// table with a left-to-right Horner loop over the recoded digits: one
+// τ per digit position and a mixed LD-affine addition per nonzero
+// digit. The τ's are lazy: the loop counts them across zero digits and
+// applies the power in one FrobeniusN just before the next addition
+// (and once at the end), which squares each coordinate exactly as
+// often, in the same order, as one τ per position would. The digit
+// pattern steers the control flow, so this loop is for public or
+// variable-time scalars only (ScalarMultCTLD64 is the hardened twin).
+// The result is left projective so batch callers can share the final
+// inversion.
 func scalarMultDigits64[T koblitz.Digit](digits []T, table []ec.Affine64) ec.LD64 {
 	q := ec.LD64Infinity
+	k := 0 // τ's owed to q
 	for i := len(digits) - 1; i >= 0; i-- {
-		q = q.Frobenius()
-		switch d := digits[i]; {
-		case d > 0:
+		k++
+		d := digits[i]
+		if d == 0 {
+			continue
+		}
+		q = q.FrobeniusN(k)
+		k = 0
+		if d > 0 {
 			q = q.AddMixed(table[d>>1])
-		case d < 0:
+		} else {
 			q = q.SubMixed(table[(-d)>>1])
 		}
 	}
-	return q
+	return q.FrobeniusN(k)
 }
 
 // ScalarMult computes k·P with the paper's random-point method: partial

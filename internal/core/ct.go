@@ -206,7 +206,10 @@ func (s *Scratch) ScalarMultCTLD64(k *big.Int, p ec.Affine) ec.LD64 {
 	table := s.alphaTable(p.To64(), WRandom)
 	q := ec.LD64Infinity
 	for i := len(digits) - 1; i >= 0; i-- {
-		q = q.Frobenius()
+		// One τ per position, zero digit or not: deferring it past zero
+		// digits (as the variable-time loops do) would branch on the
+		// secret digit pattern.
+		q = q.FrobeniusN(1)
 		d := int64(digits[i])
 		sign := uint64(d >> 63)
 		nz := ctNonZero8(d)

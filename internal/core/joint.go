@@ -30,8 +30,8 @@ import (
 //
 // Each side's recoding — partial reduction on fixed-width words and a
 // digit loop on two-word residues — takes ~2 µs at any width (koblitz
-// BenchmarkRecode, 2-vCPU Xeon VM), so the pair is under a tenth of a
-// verification over a precomputed table (42–52 µs, root
+// BenchmarkRecode, 2-vCPU Xeon VM), so the pair is about a tenth of a
+// verification over a precomputed table (34–38 µs with lazy τ, root
 // BenchmarkVerify/joint, same machine).
 //
 // Both sides use the same partial-reduction recoding as the disjoint
@@ -56,32 +56,45 @@ const WJoint = 12
 // for ~6% more.
 const WPrecomp = 10
 
-// jointLD64 is the shared interleaved Horner loop: one Frobenius per
-// digit position, one mixed addition per nonzero digit of either
-// string. Digit slices may be nil (a zero scalar contributes nothing);
-// tables are indexed table[d>>1] as everywhere else.
+// jointLD64 is the shared interleaved Horner loop: one τ per digit
+// position, one mixed addition per nonzero digit of either string. As
+// in scalarMultDigits64 the τ's are lazy — counted across positions
+// where both strings read zero and applied in one FrobeniusN before the
+// next addition and at the end — so the result is the eager loop's,
+// coordinate for coordinate. Digit slices may be nil (a zero scalar
+// contributes nothing); tables are indexed table[d>>1] as everywhere
+// else.
 func jointLD64(d1 []int16, t1 []ec.Affine64, d2 []int16, t2 []ec.Affine64) ec.LD64 {
 	q := ec.LD64Infinity
+	k := 0 // τ's owed to q
 	for i := max(len(d1), len(d2)) - 1; i >= 0; i-- {
-		q = q.Frobenius()
+		k++
+		var a, b int16
 		if i < len(d1) {
-			switch d := d1[i]; {
-			case d > 0:
-				q = q.AddMixed(t1[d>>1])
-			case d < 0:
-				q = q.SubMixed(t1[(-d)>>1])
-			}
+			a = d1[i]
 		}
 		if i < len(d2) {
-			switch d := d2[i]; {
-			case d > 0:
-				q = q.AddMixed(t2[d>>1])
-			case d < 0:
-				q = q.SubMixed(t2[(-d)>>1])
-			}
+			b = d2[i]
+		}
+		if a == 0 && b == 0 {
+			continue
+		}
+		q = q.FrobeniusN(k)
+		k = 0
+		switch {
+		case a > 0:
+			q = q.AddMixed(t1[a>>1])
+		case a < 0:
+			q = q.SubMixed(t1[(-a)>>1])
+		}
+		switch {
+		case b > 0:
+			q = q.AddMixed(t2[b>>1])
+		case b < 0:
+			q = q.SubMixed(t2[(-b)>>1])
 		}
 	}
-	return q
+	return q.FrobeniusN(k)
 }
 
 // JointScalarMultLD64 computes u1·G + u2·Q on this Scratch, left

@@ -35,16 +35,20 @@ import (
 // outside the prime-order subgroup, which recovered R points may well
 // be under attack). Their digits index msBuckets shared bucket
 // accumulators: position i with digit d adds ±τ-aligned Pᵢ into bucket
-// |d|>>1, each bucket tracking the τ alignment by taking the same
-// per-position Frobenius as the main accumulator. After the loop the
-// buckets fold back as Σ_u α_u·B_u with α_u = a_u + b_u·τ, evaluated
-// as one joint binary ladder over the (tiny) α coordinates.
+// |d|>>1, each bucket tracking the τ alignment by owing the same
+// per-position τ as the main accumulator. After the loop the buckets
+// fold back as Σ_u α_u·B_u with α_u = a_u + b_u·τ, evaluated as one
+// joint binary ladder over the (tiny) α coordinates.
 //
 // Cost shape per batch of N point terms with ~2b-digit weights:
-// one shared (m+a)-position Frobenius chain, msBuckets·2b bucket
-// Frobenius maps, and ~2b/(w+1) bucket additions per point — against N
+// ~2b/(w+1) bucket additions per point, plus the τ chains — m+a τ's on
+// the accumulator and up to 2b on each of the msBuckets buckets. Every
+// chain is lazy: the τ's it owes are counted and settled as one τ^k
+// (ec.LD64.FrobeniusN, three interleaved squaring chains) just before
+// its next addition, so a chain costs one kernel call per addition
+// rather than three squaring calls per position. That is against N
 // full joint ladders for the per-request path. The weights being short
-// (63 bits → ~126 digits) is what keeps the bucket chain affordable.
+// (63 bits → ~126 digits) is what keeps the bucket chains affordable.
 //
 // Like the rest of the τ-adic pipeline the evaluator is 64-bit-native
 // (ec.LD64/ec.Affine64), which runs bit-identically on every field
@@ -53,9 +57,9 @@ import (
 
 // msBucketW is the wTNAF width of the point-term weight recodings, and
 // msBuckets the resulting bucket count (one per odd digit magnitude).
-// Wider halves the additions per point but doubles the per-position
-// bucket Frobenius cost; w = 5 balances the two at the weight lengths
-// and batch sizes the verifier uses (see BenchmarkBatchVerify).
+// Wider halves the additions per point but doubles the number of
+// bucket τ chains; w = 5 balances the two at the weight lengths and
+// batch sizes the verifier uses (see BenchmarkBatchVerify).
 const (
 	msBucketW = 5
 	msBuckets = 1 << (msBucketW - 2)
@@ -182,44 +186,60 @@ func (ms *MultiScalar) Eval() ec.LD64 {
 		ms.buckets[u] = ec.LD64Infinity
 	}
 	acc := ec.LD64Infinity
+	kAcc := 0             // τ's owed to acc
+	var kB [msBuckets]int // τ's owed to each bucket
 	for i := max(ms.maxT, ms.maxP) - 1; i >= 0; i-- {
-		acc = acc.Frobenius()
+		kAcc++
 		if i < ms.maxP {
 			// The buckets advance through the same τ chain as the main
-			// accumulator, so a digit at position i lands τ-aligned; a
-			// still-empty bucket skips the map (τ∞ = ∞).
-			for u := range ms.buckets {
-				if !ms.buckets[u].IsInfinity() {
-					ms.buckets[u] = ms.buckets[u].Frobenius()
-				}
+			// accumulator, so a digit at position i lands τ-aligned.
+			// Each bucket settles its own count just before its next
+			// addition; a still-empty bucket drops it (τ∞ = ∞).
+			for u := range kB {
+				kB[u]++
 			}
 			for j := range pts {
 				p := &pts[j]
-				if i >= len(p.digits) {
+				if i >= len(p.digits) || p.digits[i] == 0 {
 					continue
 				}
-				switch d := p.digits[i]; {
-				case d > 0:
-					ms.buckets[d>>1] = ms.buckets[d>>1].AddMixed(p.pt)
-				case d < 0:
-					ms.buckets[(-d)>>1] = ms.buckets[(-d)>>1].SubMixed(p.pt)
+				d := p.digits[i]
+				u := max(d, -d) >> 1
+				b := &ms.buckets[u]
+				if !b.IsInfinity() {
+					*b = b.FrobeniusN(kB[u])
+				}
+				kB[u] = 0
+				if d > 0 {
+					*b = b.AddMixed(p.pt)
+				} else {
+					*b = b.SubMixed(p.pt)
 				}
 			}
 		}
 		for j := range terms {
 			t := &terms[j]
-			if i >= len(t.digits) {
+			if i >= len(t.digits) || t.digits[i] == 0 {
 				continue
 			}
-			switch d := t.digits[i]; {
-			case d > 0:
+			acc = acc.FrobeniusN(kAcc)
+			kAcc = 0
+			if d := t.digits[i]; d > 0 {
 				acc = acc.AddMixed(t.table[d>>1])
-			case d < 0:
+			} else {
 				acc = acc.SubMixed(t.table[(-d)>>1])
 			}
 		}
 	}
+	// Settle what the chains still owe for the positions after their
+	// last addition.
+	acc = acc.FrobeniusN(kAcc)
 	if ms.np > 0 {
+		for u := range ms.buckets {
+			if !ms.buckets[u].IsInfinity() {
+				ms.buckets[u] = ms.buckets[u].FrobeniusN(kB[u])
+			}
+		}
 		acc = ms.foldBuckets(acc)
 	}
 	return acc

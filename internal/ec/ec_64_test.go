@@ -1,6 +1,7 @@
 package ec
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -60,7 +61,16 @@ func TestLD64MatchesReference(t *testing.T) {
 		sameLD(t, "Double", lp64.Double(), lp.Double())
 		sameLD(t, "AddMixed", lp64.AddMixed(q64), lp.AddMixed(q))
 		sameLD(t, "SubMixed", lp64.SubMixed(q64), lp.SubMixed(q))
-		sameLD(t, "Frobenius", lp64.Frobenius(), lp.Frobenius())
+		// τ^k in one kernel call against k reference τ's, across the
+		// n = 0 and single-step edges and a whole field-size chain.
+		ref := lp
+		done := 0
+		for _, k := range []int{0, 1, 2, 7, 233} {
+			for ; done < k; done++ {
+				ref = ref.Frobenius()
+			}
+			sameLD(t, fmt.Sprintf("FrobeniusN(%d)", k), lp64.FrobeniusN(k), ref)
+		}
 		if got := lp64.Affine().Affine(); !got.Equal(p) {
 			t.Fatalf("Affine round trip: %v, want %v", got, p)
 		}
@@ -75,6 +85,9 @@ func TestLD64ExceptionalCases(t *testing.T) {
 	// Identity operands.
 	if !LD64Infinity.Double().IsInfinity() {
 		t.Fatal("2·∞ != ∞")
+	}
+	if got := LD64Infinity.FrobeniusN(5); got != LD64Infinity {
+		t.Fatalf("τ^5(∞) = %v, want (1, 0, 0)", got)
 	}
 	sameLD(t, "∞+q", LD64Infinity.AddMixed(p.To64()), LDInfinity.AddMixed(p))
 	if !lp.AddMixed(Affine64{Inf: true}).Affine().Affine().Equal(p) {
@@ -99,5 +112,35 @@ func TestLD64ExceptionalCases(t *testing.T) {
 	}
 	if !(Affine64{Inf: true}).Neg().Inf {
 		t.Fatal("-∞ != ∞")
+	}
+}
+
+// BenchmarkFrobeniusN times τ^k of one LD64 point three ways: the
+// three-chain kernel (FrobeniusN), three SqrN64 chains, and 3k
+// separate Sqr64 calls (one eager τ per position).
+func BenchmarkFrobeniusN(b *testing.B) {
+	rnd := rand.New(rand.NewSource(1))
+	p := toLD64(randLD(randPoint64(rnd), rnd))
+	for _, k := range []int{1, 5, 12} {
+		b.Run(fmt.Sprintf("k=%d/kernel", k), func(b *testing.B) {
+			q := p
+			for i := 0; i < b.N; i++ {
+				q = q.FrobeniusN(k)
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/sqrn", k), func(b *testing.B) {
+			q := p
+			for i := 0; i < b.N; i++ {
+				q = LD64{X: gf233.SqrN64(q.X, k), Y: gf233.SqrN64(q.Y, k), Z: gf233.SqrN64(q.Z, k)}
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/sqr", k), func(b *testing.B) {
+			q := p
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < k; j++ {
+					q = LD64{X: gf233.Sqr64(q.X), Y: gf233.Sqr64(q.Y), Z: gf233.Sqr64(q.Z)}
+				}
+			}
+		})
 	}
 }

@@ -32,7 +32,7 @@ func (p Affine64) Affine() Affine {
 	return Affine{X: p.X.Elem(), Y: p.Y.Elem()}
 }
 
-// Frobenius returns τ(p) = (x², y²), the affine twin of LD64.Frobenius.
+// Frobenius returns τ(p) = (x², y²), the affine twin of LD64.FrobeniusN(1).
 func (p Affine64) Frobenius() Affine64 {
 	if p.Inf {
 		return p
@@ -135,11 +135,14 @@ func (p LD64) AddMixed(q Affine64) LD64 {
 // SubMixed returns p - q for affine q.
 func (p LD64) SubMixed(q Affine64) LD64 { return p.AddMixed(q.Neg()) }
 
-// Frobenius returns τ(p) = (X², Y², Z²).
-func (p LD64) Frobenius() LD64 {
-	return LD64{
-		X: gf233.Sqr64(p.X),
-		Y: gf233.Sqr64(p.Y),
-		Z: gf233.Sqr64(p.Z),
+// FrobeniusN returns τ^k(p) = (X^(2^k), Y^(2^k), Z^(2^k)) with one
+// call to the three-chain squaring kernel; k = 0 returns p. The
+// variable-time τ-and-add loops (internal/core) defer τ across zero
+// digits and apply the accumulated power here, just before the next
+// addition. The point at infinity (1, 0, 0) maps to itself.
+func (p LD64) FrobeniusN(k int) LD64 {
+	if k > 0 {
+		gf233.SqrN64x3(&p.X, &p.Y, &p.Z, k)
 	}
+	return p
 }

@@ -7,7 +7,7 @@ package gf233
 // on canCLMUL: the exported wrappers (clmul.go) check it explicitly,
 // and the backend registry (backend.go) refuses to select BackendCLMUL
 // when the probe failed, which keeps the dispatching hot paths
-// (Mul64, Sqr64, SqrN64, MustInv64) free of a second feature test.
+// (Mul64, Sqr64, SqrN64, SqrN64x3, MustInv64) free of a second feature test.
 
 //go:noescape
 func mulClmulAsm(z, a, b *Elem64)
@@ -17,6 +17,9 @@ func sqrClmulAsm(z, a *Elem64)
 
 //go:noescape
 func sqrNClmulAsm(z, a *Elem64, n int)
+
+//go:noescape
+func sqrN3ClmulAsm(x, y, z *Elem64, n int)
 
 // cpuidECX1 returns ECX of CPUID leaf 1 (feature flags).
 func cpuidECX1() uint32

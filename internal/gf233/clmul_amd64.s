@@ -29,6 +29,12 @@
 // longest dependency chain from the loop body, which is what the
 // Itoh–Tsujii inversion's 232 back-to-back squarings are bottlenecked
 // on.
+//
+// sqrN3ClmulAsm runs the same lazily reduced loop on three independent
+// elements at once — the X, Y and Z coordinates of a López–Dahab point,
+// for τ^n. One chain is latency-bound (each squaring waits for the
+// previous fold); interleaving three keeps the multiplier and the shift
+// units busy with work from the other two while one chain waits.
 
 #include "textflag.h"
 
@@ -210,6 +216,63 @@ loop:
 store:
 	MOVOU X0, (DI)
 	MOVOU X1, 16(DI)
+	RET
+
+// SQR2X squares the lazily reduced value [L | H] in place, leaving the
+// high 256 bits folded but bits 233..255 possibly set (the loop body of
+// sqrNClmulAsm with the products computed into the chain's own
+// registers): L and H take the outer self-products [c0,c1] and
+// [c6,c7], Q1 and Q2 the inner ones [c2,c3] and [c4,c5]. Clobbers Q1,
+// Q2, T0, T1.
+#define SQR2X(L, H, Q1, Q2, T0, T1) \
+	MOVOU H, Q2;                 \
+	PCLMULQDQ $0x00, H, Q2;      \
+	PCLMULQDQ $0x11, H, H;       \
+	MOVOU L, Q1;                 \
+	PCLMULQDQ $0x11, L, Q1;      \
+	PCLMULQDQ $0x00, L, L;       \
+	FOLD(H, Q1, Q2, T0, T1);     \
+	FOLD(Q2, L, Q1, T0, T1);     \
+	MOVOU Q1, H
+
+// func sqrN3ClmulAsm(x, y, z *Elem64, n int)
+//
+// Squares x, y and z in place n times each. The three chains share
+// only the fold temporaries X12/X13, whose reuse register renaming
+// turns into independent physical registers.
+TEXT ·sqrN3ClmulAsm(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), DI
+	MOVQ y+8(FP), SI
+	MOVQ z+16(FP), DX
+	MOVQ n+24(FP), CX
+
+	MOVOU (DI), X0
+	MOVOU 16(DI), X1
+	MOVOU (SI), X4
+	MOVOU 16(SI), X5
+	MOVOU (DX), X8
+	MOVOU 16(DX), X9
+	CMPQ CX, $0
+	JLE  store
+
+loop:
+	SQR2X(X0, X1, X2, X3, X12, X13)
+	SQR2X(X4, X5, X6, X7, X12, X13)
+	SQR2X(X8, X9, X10, X11, X12, X13)
+	DECQ CX
+	JNZ  loop
+
+	TOPFOLD(X0, X1, X12, X13)
+	TOPFOLD(X4, X5, X12, X13)
+	TOPFOLD(X8, X9, X12, X13)
+
+store:
+	MOVOU X0, (DI)
+	MOVOU X1, 16(DI)
+	MOVOU X4, (SI)
+	MOVOU X5, 16(SI)
+	MOVOU X8, (DX)
+	MOVOU X9, 16(DX)
 	RET
 
 // func cpuidECX1() uint32

@@ -49,6 +49,7 @@ func TestSqrClmulMatchesSpread(t *testing.T) {
 				t.Fatalf("SqrNClmul(%v, %d) = %v, want %v", a, n, got, want)
 			}
 		}
+		checkSqrN64x3(t, BackendCLMUL, a)
 	}
 }
 
@@ -104,10 +105,10 @@ func TestDispatch64UnderCLMUL(t *testing.T) {
 }
 
 // TestZeroAllocClmul is the allocation guard for the CLMUL hot paths:
-// Mul/Sqr/SqrN/Inv must not allocate, or every point operation built on
-// them loses its 0 allocs/op property. Runs with whatever the probe
-// allows (the wrappers degrade to the pure-Go paths without hardware
-// support, which must be allocation-free too).
+// Mul/Sqr/SqrN/SqrN64x3/Inv must not allocate, or every point operation
+// built on them loses its 0 allocs/op property. Runs with whatever the
+// probe allows (the wrappers degrade to the pure-Go paths without
+// hardware support, which must be allocation-free too).
 func TestZeroAllocClmul(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -117,6 +118,7 @@ func TestZeroAllocClmul(t *testing.T) {
 	prev := SetBackend(BackendCLMUL)
 	defer SetBackend(prev)
 	var sink Elem64
+	x, y, z := a, b, Add64(a, b)
 	checks := []struct {
 		name string
 		f    func()
@@ -127,6 +129,7 @@ func TestZeroAllocClmul(t *testing.T) {
 		{"Mul64", func() { sink = Mul64(a, b) }},
 		{"Sqr64", func() { sink = Sqr64(a) }},
 		{"SqrN64", func() { sink = SqrN64(a, 58) }},
+		{"SqrN64x3", func() { SqrN64x3(&x, &y, &z, 58) }},
 		{"InvItohTsujii64", func() { sink, _ = InvItohTsujii64(a) }},
 		{"MustInv64", func() { sink = MustInv64(a) }},
 	}

@@ -110,9 +110,35 @@ func FuzzMulClmulVsRef(f *testing.F) {
 	})
 }
 
-// FuzzSqrInv64VsRef cross-checks 64-bit squaring and inversion against
-// the 32-bit reference and the gf2 oracle, plus the a * a^-1 = 1 field
-// identity.
+// checkSqrN64x3 runs SqrN64x3 under backend bk on three chains derived
+// from a (a, a², a + 1), at chain lengths from the empty chain to a
+// whole field size, and checks each coordinate against a SqrSpread64
+// loop. Under BackendCLMUL that is the interleaved assembly kernel
+// (which degrades to the portable loop without hardware support).
+func checkSqrN64x3(t *testing.T, bk Backend, a Elem64) {
+	t.Helper()
+	in := [3]Elem64{a, SqrSpread64(a), Add64(a, One64)}
+	prev := SetBackend(bk)
+	defer SetBackend(prev)
+	for _, n := range []int{0, 1, 2, 5, 13, 29, 232} {
+		got := in
+		SqrN64x3(&got[0], &got[1], &got[2], n)
+		for c := range in {
+			want := in[c]
+			for i := 0; i < n; i++ {
+				want = SqrSpread64(want)
+			}
+			if got[c] != want {
+				t.Fatalf("backend %v: SqrN64x3 chain %d of %v, n=%d: %v, want %v",
+					bk, c, a.Elem(), n, got[c].Elem(), want.Elem())
+			}
+		}
+	}
+}
+
+// FuzzSqrInv64VsRef cross-checks 64-bit squaring (single and the
+// portable three-chain fallback) and inversion against the 32-bit
+// reference and the gf2 oracle, plus the a * a^-1 = 1 field identity.
 func FuzzSqrInv64VsRef(f *testing.F) {
 	seedCorpus(f, false)
 	mod := Modulus()
@@ -130,6 +156,7 @@ func FuzzSqrInv64VsRef(f *testing.F) {
 		if got, want := SqrSpread64(a64).Elem(), SqrInterleaved(a); got != want {
 			t.Fatalf("SqrSpread64(%v) = %v, reference %v", a, got, want)
 		}
+		checkSqrN64x3(t, Backend64, a64)
 
 		inv, ok := Inv64(a64)
 		refInv, refOK := InvEEA(a)
@@ -148,12 +175,12 @@ func FuzzSqrInv64VsRef(f *testing.F) {
 	})
 }
 
-// FuzzSqrInvClmulVsRef cross-checks the PCLMULQDQ squaring (single and
-// n-fold) and the Itoh–Tsujii inversion against the pure-Go 64-bit
-// path, the 32-bit reference and the gf2 oracle. The n-fold squaring is
-// exercised at the exact chain lengths the Itoh–Tsujii inversion uses,
-// which covers the lazily reduced assembly loop at every hop of the
-// addition chain.
+// FuzzSqrInvClmulVsRef cross-checks the PCLMULQDQ squaring (single,
+// n-fold and the three-chain kernel) and the Itoh–Tsujii inversion
+// against the pure-Go 64-bit path, the 32-bit reference and the gf2
+// oracle. The n-fold squaring is exercised at the exact chain lengths
+// the Itoh–Tsujii inversion uses, which covers the lazily reduced
+// assembly loop at every hop of the addition chain.
 func FuzzSqrInvClmulVsRef(f *testing.F) {
 	seedCorpus(f, false)
 	mod := Modulus()
@@ -180,6 +207,7 @@ func FuzzSqrInvClmulVsRef(f *testing.F) {
 				t.Fatalf("SqrNClmul(%v, %d) = %v, want %v", a, n, got.Elem(), want.Elem())
 			}
 		}
+		checkSqrN64x3(t, BackendCLMUL, a64)
 
 		itInv, itOK := InvItohTsujii64(a64)
 		refInv, refOK := Inv64(a64)

@@ -63,6 +63,21 @@ func SqrN64(a Elem64, n int) Elem64 {
 	return a
 }
 
+// SqrN64x3 squares x, y and z in place n times each — τ^n of a
+// López–Dahab point, whose coordinates are three independent chains.
+// On the CLMUL backend one assembly loop runs the three lazily reduced
+// chains interleaved, so each hides the others' fold latency; the
+// results equal three SqrN64 calls.
+func SqrN64x3(x, y, z *Elem64, n int) {
+	if CurrentBackend() == BackendCLMUL {
+		sqrN3ClmulAsm(x, y, z, n)
+		return
+	}
+	for i := 0; i < n; i++ {
+		*x, *y, *z = SqrSpread64(*x), SqrSpread64(*y), SqrSpread64(*z)
+	}
+}
+
 // Sqrt64 returns the field square root a^(2^(m-1)) in the 64-bit
 // backend.
 func Sqrt64(a Elem64) Elem64 { return SqrN64(a, M-1) }

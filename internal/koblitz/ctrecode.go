@@ -306,8 +306,8 @@ func ctEqMask(a, b uint64) uint64 {
 // instruction sequence — branchless digit extraction, a full masked
 // scan of the α table, branchless sign handling and the τ division.
 func recodeCT(r0, r1 i128, w int, digits []int8) {
-	alphaA, alphaB := alphaInt64(w)
-	tw := uint64(TW(w))
+	alphaA, alphaB, twi := alphaInt64(w)
+	tw := uint64(twi)
 	mask := uint64(1)<<w - 1
 	for i := range digits {
 		odd := -(r0.lo & 1) // all-ones if r0 is odd

@@ -188,6 +188,16 @@ func TestTW(t *testing.T) {
 	}
 }
 
+// TestTWCache pins the per-width t_w the recoding loops read to its
+// Hensel-lifting derivation.
+func TestTWCache(t *testing.T) {
+	for w := MinW; w <= MaxWide; w++ {
+		if _, _, tw := alphaInt64(w); tw != TW(w) {
+			t.Fatalf("cached t_%d = %d, TW = %d", w, tw, TW(w))
+		}
+	}
+}
+
 func TestAlphaRepresentatives(t *testing.T) {
 	for w := MinW; w <= MaxW; w++ {
 		alphas := Alpha(w)

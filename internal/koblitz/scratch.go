@@ -216,8 +216,7 @@ func (x i128) small() bool {
 // α_1 = 1, so the window digit (r0 + 2r1) mods 4 is TNAF's
 // 2 − ((r0 − 2r1) mod 4) and the digit strings coincide.
 func recode[T Digit](r0, r1 i128, w int, digits []T) []T {
-	alphaA, alphaB := alphaInt64(w)
-	tw := TW(w)
+	alphaA, alphaB, tw := alphaInt64(w)
 	mask := uint64(1)<<w - 1
 	halfW := uint64(1) << (w - 1)
 	for !r0.small() || !r1.small() {
@@ -257,5 +256,6 @@ func recode[T Digit](r0, r1 i128, w int, digits []T) []T {
 // alpha-point construction in internal/core ladders over without
 // touching big.Int.
 func AlphaCoeffs(w int) (alphaA, alphaB []int64) {
-	return alphaInt64(w)
+	alphaA, alphaB, _ = alphaInt64(w)
+	return alphaA, alphaB
 }

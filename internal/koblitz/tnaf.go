@@ -183,11 +183,13 @@ func TW(w int) int64 {
 // alphaCache holds the window representatives per width, built once:
 // WTNAF consults them on every recoding, which sits on the hot path of
 // every scalar multiplication. alphaI64 caches the same coordinates as
-// immutable int64 arrays for the recoding loops.
+// immutable int64 arrays for the recoding loops, and twCache the
+// width's t_w, which every digit extraction multiplies by.
 var (
 	alphaOnce  [MaxWide + 1]sync.Once
 	alphaCache [MaxWide + 1][]ZTau
 	alphaI64   [MaxWide + 1][2][]int64
+	twCache    [MaxWide + 1]int64
 )
 
 // Alpha returns the window representatives α_u = u mods τ^w for odd
@@ -227,17 +229,18 @@ func buildAlpha(w int) {
 		}
 		alphaCache[w] = alphas
 		alphaI64[w] = [2][]int64{aI, bI}
+		twCache[w] = TW(w)
 	})
 }
 
-// alphaInt64 returns the cached int64 α coordinates for width w. The
-// slices are shared and must not be written.
-func alphaInt64(w int) (alphaA, alphaB []int64) {
+// alphaInt64 returns the cached int64 α coordinates and t_w for width
+// w. The slices are shared and must not be written.
+func alphaInt64(w int) (alphaA, alphaB []int64, tw int64) {
 	if w < MinW || w > MaxWide {
 		panic(fmt.Sprintf("koblitz: unsupported window width %d", w))
 	}
 	buildAlpha(w)
-	return alphaI64[w][0], alphaI64[w][1]
+	return alphaI64[w][0], alphaI64[w][1], twCache[w]
 }
 
 // WTNAF returns the width-w TNAF of ρ: digits least significant first,
@@ -253,8 +256,7 @@ func WTNAF(rho ZTau, w int) []int8 {
 	}
 	// The α coordinates are tiny; the shared int64 cache serves both
 	// the big.Int loop and the fast tail without per-call copies.
-	alphaA, alphaB := alphaInt64(w)
-	twi := TW(w)
+	alphaA, alphaB, twi := alphaInt64(w)
 	tw := big.NewInt(twi)
 	pow := new(big.Int).Lsh(big.NewInt(1), uint(w))    // 2^w
 	half := new(big.Int).Lsh(big.NewInt(1), uint(w-1)) // 2^(w-1)
