@@ -161,7 +161,6 @@ bench-sign:
 # the conventional |t| < 4.5 gate.
 ct:
 	$(GO) test ./internal/codegen -run 'TestCTLadder|TestPointMulTracesDiffer' -count=1
-	$(GO) test ./internal/koblitz -run 'TestRecodeCT' -count=1
 	$(GO) test ./internal/core -run 'CT' -count=1
 	$(GO) test . -run 'TestHardened' -count=1
 	$(GO) test ./internal/engine -run 'TestBatchScratchScrubbed' -count=1

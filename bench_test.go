@@ -590,25 +590,30 @@ func benchBatchInputs(b *testing.B, n int) (*core.PrivateKey, []ec.Affine) {
 }
 
 // BenchmarkECDH contrasts one-shot shared-secret derivation with the
-// batch kernel at batch sizes 8 and 32 (ns/op is per derivation in
-// every sub-benchmark).
+// batch kernel at batch sizes 8 and 32, and both with the hardened
+// (constant-time ladder) arm of the same key (ns/op is per derivation
+// in every sub-benchmark; every arm validates its peer).
 func BenchmarkECDH(b *testing.B) {
 	priv, peers := benchBatchInputs(b, 32)
-	b.Run("oneshot", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ecdh.SharedSecret(priv, peers[i%len(peers)]); err != nil {
-				b.Fatal(err)
+	hard := *priv
+	hard.ConstTime = true
+	oneshot := func(k *core.PrivateKey) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ecdh.SharedSecret(k, peers[i%len(peers)]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
-	for _, n := range []int{8, 32} {
-		b.Run("batch"+strconv.Itoa(n), func(b *testing.B) {
+	}
+	batch := func(k *core.PrivateKey, n int) func(*testing.B) {
+		return func(b *testing.B) {
 			out := make([]engine.ECDHResult, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += n {
-				engine.BatchSharedSecret(priv, peers[:n], out)
+				engine.BatchSharedSecret(k, peers[:n], out)
 			}
 			b.StopTimer()
 			for i := range out {
@@ -616,8 +621,14 @@ func BenchmarkECDH(b *testing.B) {
 					b.Fatal(out[i].Err)
 				}
 			}
-		})
+		}
 	}
+	b.Run("oneshot", oneshot(priv))
+	for _, n := range []int{8, 32} {
+		b.Run("batch"+strconv.Itoa(n), batch(priv, n))
+	}
+	b.Run("hardened", oneshot(&hard))
+	b.Run("hardenedBatch32", batch(&hard, 32))
 }
 
 // BenchmarkSign contrasts one-shot signing with the batch kernel

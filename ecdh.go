@@ -23,12 +23,12 @@ const SharedSecretSize = engine.SecretSize
 // the generic n·Q ladder): ~1µs including the on-curve check, against
 // ~33µs for the fast shared-secret evaluation it guards.
 func (priv *PrivateKey) ECDH(peer *PublicKey, length int) ([]byte, error) {
-	return ecdh.SharedKeyTau(priv.key, peer.point, length)
+	return ecdh.SharedKey(priv.key, peer.point, length)
 }
 
 // SharedSecret derives the raw shared secret d·Q against the peer —
 // the un-KDF'd variant for protocols that run their own key schedule.
 // Validation as in ECDH.
 func (priv *PrivateKey) SharedSecret(peer *PublicKey) ([]byte, error) {
-	return ecdh.SharedSecretTau(priv.key, peer.point)
+	return ecdh.SharedSecret(priv.key, peer.point)
 }

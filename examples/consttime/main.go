@@ -6,8 +6,8 @@
 //
 //  1. the wTNAF path's work depends on the scalar (the number of
 //     nonzero recoding digits varies), which a power trace can see;
-//  2. the Montgomery ladder performs identical work for every scalar
-//     of the same bit length;
+//  2. the Montgomery ladder performs identical work for every scalar:
+//     a fixed 234 steps, the bit length of the curve order 4n;
 //  3. the ladder's overhead is the price of the countermeasure.
 package main
 
@@ -53,20 +53,20 @@ func main() {
 	fmt.Printf("=> %d distinguishable work levels leak scalar information through power.\n\n",
 		max-min+1)
 
-	// Part 2: the ladder does bitlen-1 identical steps regardless of k.
-	fmt.Println("Montgomery ladder: one add + one double per scalar bit, every time;")
-	fmt.Println("work depends only on the (public) bit length, not the key bits.")
+	// Part 2: the ladder runs the same fixed number of steps for every k.
+	fmt.Println("Montgomery ladder: one masked swap, one x-only add and one double per")
+	fmt.Println("step, for a fixed 234 steps (the bit length of 4n) whatever the key.")
 	fmt.Println()
 
 	// Part 3: correctness and cost comparison.
 	g := ec.Gen()
 	t := tables.New("wTNAF vs Montgomery ladder (field multiplications per scalar mult, modelled)",
 		"Path", "Field muls", "Constant time")
-	// wTNAF: ~m/(w+1) adds × 8 muls + conversion; ladder: 233 steps ×
-	// (2 muls add + 1 mul double... x-only: madd 3M+1S? count 4M+2S per
-	// step) + y-recovery.
+	// wTNAF: ~m/(w+1) adds × 8 muls + conversion. Ladder: 234 steps of
+	// 5M + 4S (x-only add 4M + 1S, double 1M + 3S), then y recovery (10M)
+	// and one Itoh–Tsujii inversion (10M + 232S).
 	wtnafMuls := 233/5*8 + 2
-	ladderMuls := 232*6 + 12
+	ladderMuls := 234*5 + 10 + 10
 	t.Row("wTNAF w=4 (paper §4.2.2)", wtnafMuls, "no")
 	t.Row("Montgomery ladder (paper §5)", ladderMuls, "yes")
 	fmt.Println(t)

@@ -28,17 +28,26 @@ func ladderTestScalars() []*big.Int {
 
 // TestCTLadderMatchesScalarMult pins the ladder's result to the
 // reference scalar multiplication: the harness only means something
-// if the constant-time subject computes the right point.
+// if the constant-time subject computes the right point. It also holds
+// the two substrates to one algorithm: the simulated M0+ ladder and
+// the host's 64-bit ladder (core.LadderX, the hardened ECDH
+// evaluation) give the same x, at the generator and at a non-generator
+// subgroup point.
 func TestCTLadderMatchesScalarMult(t *testing.T) {
-	g := ec.Gen()
-	for _, k := range ladderTestScalars() {
-		res, err := RunCTLadder(k, g, nil)
-		if err != nil {
-			t.Fatalf("k=%v: %v", k, err)
-		}
-		want := core.ScalarMult(k, g)
-		if res.X != want.X {
-			t.Fatalf("k=%v: ladder x = %v, want %v", k, res.X, want.X)
+	points := []ec.Affine{ec.Gen(), core.ScalarBaseMult(big.NewInt(0x1234567))}
+	for _, p := range points {
+		for _, k := range ladderTestScalars() {
+			res, err := RunCTLadder(k, p, nil)
+			if err != nil {
+				t.Fatalf("k=%v: %v", k, err)
+			}
+			want := core.ScalarMult(k, p)
+			if res.X != want.X {
+				t.Fatalf("k=%v P=%v: ladder x = %v, want %v", k, p, res.X, want.X)
+			}
+			if host, ok := core.LadderX(k, p); !ok || host != res.X {
+				t.Fatalf("k=%v P=%v: M0+ ladder x = %v, host ladder (%v, %v)", k, p, res.X, host, ok)
+			}
 		}
 	}
 }

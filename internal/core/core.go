@@ -8,8 +8,10 @@
 // done in mixed LD-affine coordinates, so a full multiplication costs a
 // single field inversion (the final normalisation).
 //
-// The package also provides the constant-time Montgomery-ladder variant
-// the paper lists as future work (§5).
+// The constant-time evaluators of the hardened path live in ct.go: the
+// x-only Montgomery ladder the paper lists as future work (§5), for
+// every secret variable-base multiplication, and a masked-scan comb for
+// k·G.
 package core
 
 import (
@@ -18,7 +20,6 @@ import (
 	"math/big"
 
 	"repro/internal/ec"
-	"repro/internal/gf233"
 	"repro/internal/koblitz"
 )
 
@@ -104,7 +105,7 @@ func alphaPointLD(al koblitz.ZTau, p, tp, sum, dif ec.Affine) ec.LD {
 // (and once at the end), which squares each coordinate exactly as
 // often, in the same order, as one τ per position would. The digit
 // pattern steers the control flow, so this loop is for public or
-// variable-time scalars only (ScalarMultCTLD64 is the hardened twin).
+// variable-time scalars only (secret ones take the ladder in ct.go).
 // The result is left projective so batch callers can share the final
 // inversion.
 func scalarMultDigits64[T koblitz.Digit](digits []T, table []ec.Affine64) ec.LD64 {
@@ -215,86 +216,6 @@ func ScalarBaseMultTNAF(k *big.Int) ec.Affine {
 	return genBase().ScalarMult(k)
 }
 
-// ScalarMultLadder computes k·P with the López-Dahab x-coordinate
-// Montgomery ladder (Hankerson et al. Alg. 3.40), the constant-time
-// algorithm the paper's future-work section (§5) proposes against
-// power-analysis attacks: every ladder step performs the same
-// add-and-double work regardless of the key bit.
-func ScalarMultLadder(k *big.Int, p ec.Affine) ec.Affine {
-	if p.Inf || k.Sign() == 0 {
-		return ec.Infinity
-	}
-	if k.Sign() < 0 {
-		return ScalarMultLadder(new(big.Int).Neg(k), p.Neg())
-	}
-	if p.X == gf233.Zero {
-		// Order-2 point: k·P = P for odd k, ∞ for even.
-		if k.Bit(0) == 1 {
-			return p
-		}
-		return ec.Infinity
-	}
-	x, y := p.X, p.Y
-	// (X1:Z1) tracks j·P, (X2:Z2) tracks (j+1)·P.
-	x1, z1 := x, gf233.One
-	x2 := gf233.Add(gf233.SqrN(x, 2), ec.B) // x⁴ + b
-	z2 := gf233.Sqr(x)
-	for i := k.BitLen() - 2; i >= 0; i-- {
-		if k.Bit(i) == 1 {
-			x1, z1 = madd(x, x1, z1, x2, z2)
-			x2, z2 = mdouble(x2, z2)
-		} else {
-			x2, z2 = madd(x, x2, z2, x1, z1)
-			x1, z1 = mdouble(x1, z1)
-		}
-	}
-	return mxy(x, y, x1, z1, x2, z2)
-}
-
-// mdouble doubles in the x-only Montgomery representation:
-// X' = X⁴ + b·Z⁴, Z' = X²·Z².
-func mdouble(x1, z1 gf233.Elem) (gf233.Elem, gf233.Elem) {
-	xx := gf233.Sqr(x1)
-	zz := gf233.Sqr(z1)
-	// b = 1 for sect233k1.
-	return gf233.Add(gf233.Sqr(xx), gf233.Sqr(zz)), gf233.Mul(xx, zz)
-}
-
-// madd adds two x-only representations whose difference is the base
-// point with abscissa x: Z' = (X1Z2 + X2Z1)², X' = x·Z' + X1Z2·X2Z1.
-func madd(x, x1, z1, x2, z2 gf233.Elem) (gf233.Elem, gf233.Elem) {
-	a := gf233.Mul(x1, z2)
-	b := gf233.Mul(x2, z1)
-	z3 := gf233.Sqr(gf233.Add(a, b))
-	x3 := gf233.Add(gf233.Mul(x, z3), gf233.Mul(a, b))
-	return x3, z3
-}
-
-// mxy recovers the affine result from the two ladder legs
-// (Hankerson et al. Alg. 3.40 step 3):
-//
-//	x_k = X1/Z1
-//	y_k = (x + x_k)·[(X1 + xZ1)(X2 + xZ2) + (x² + y)·Z1Z2] / (x·Z1Z2) + y
-func mxy(x, y, x1, z1, x2, z2 gf233.Elem) ec.Affine {
-	if z1 == gf233.Zero {
-		return ec.Infinity
-	}
-	if z2 == gf233.Zero {
-		// (k+1)·P = ∞, so k·P = −P = (x, x+y).
-		return ec.Affine{X: x, Y: gf233.Add(x, y)}
-	}
-	xk, _ := gf233.Div(x1, z1)
-	t1 := gf233.Add(x1, gf233.Mul(x, z1))
-	t2 := gf233.Add(x2, gf233.Mul(x, z2))
-	t3 := gf233.Add(gf233.Sqr(x), y)
-	z1z2 := gf233.Mul(z1, z2)
-	num := gf233.Add(gf233.Mul(t1, t2), gf233.Mul(t3, z1z2))
-	den := gf233.Mul(x, z1z2)
-	frac, _ := gf233.Div(num, den)
-	yk := gf233.Add(gf233.Mul(gf233.Add(x, xk), frac), y)
-	return ec.Affine{X: xk, Y: yk}
-}
-
 // ErrRandom is returned when the random source fails during key
 // generation.
 var ErrRandom = errors.New("core: random source failure")
@@ -308,7 +229,8 @@ type PrivateKey struct {
 	// ConstTime routes every secret-scalar operation with this key —
 	// signing, ECDH, key derivation — through the constant-time
 	// evaluators (ct.go, modn_ct.go): no secret-dependent branches or
-	// table addresses, at roughly 2-3× the fast path's cost. Results
+	// table addresses. One-shot ECDH then costs 1.5–1.7× the fast path
+	// and one-shot signing ~2.7× (README, "Hardened mode"). Results
 	// are bit-identical to the fast path. Verification, which handles
 	// only public inputs, is unaffected.
 	ConstTime bool

@@ -7,27 +7,24 @@ import (
 	"repro/internal/gf233"
 )
 
-// ct.go — constant-time point-multiplication evaluators for the
-// hardened signing path.
+// ct.go — the constant-time point multiplications of the hardened
+// path. Two evaluators cover every secret scalar, and neither has a
+// branch or a memory address that depends on it:
 //
-// The fast evaluators (scalarMultLD64W, Comb.scalarMultLD64) branch on
-// secret digit values and index their precomputed tables by them. The
-// hardened twins below keep the same tables and the same group
-// arithmetic but remove every secret-dependent branch and address:
+//   - variable-base k·P (hardened ECDH, ScalarMultLadder) runs the
+//     x-only López–Dahab Montgomery ladder, a fixed number of steps
+//     with one masked conditional swap per scalar bit — the state
+//     machine internal/codegen runs on the M0+ as ct_ladder;
+//   - fixed-base k·G (hardened signing and key generation) runs a
+//     split comb: fixed-width column extraction, a full masked scan of
+//     the table on every iteration (each entry is read, the live one
+//     selected with bitmasks), and branchless LD formulas whose
+//     exceptional cases (accumulator at infinity, doubling) resolve by
+//     masked selects instead of early returns.
 //
-//   - digits come from the fixed-length constant-time recoding
-//     (koblitz.RecodeCT) or from fixed-width column extraction;
-//   - every table lookup is a full masked linear scan — each entry is
-//     read on each iteration and the live one selected with bitmasks;
-//   - digit signs apply branchlessly (on a binary curve −(x, y) =
-//     (x, x+y), one masked XOR);
-//   - the group operations run on branchless variants of the LD
-//     formulas, with the exceptional cases (accumulator at infinity,
-//     doubling) resolved by masked selects instead of early returns.
-//
-// Field-level constant-time behaviour is inherited from the backend:
-// the CLMUL backend is a fixed instruction sequence; the portable
-// backends use small in-cache tables (see README, "Hardened mode").
+// Field-level behaviour is inherited from the backend: the CLMUL
+// backend is a fixed instruction sequence; without CLMUL, Mul64 looks
+// table rows up by operand nibbles (see README, "Hardened mode").
 
 // --- masked helpers over gf233.Elem64 ---
 
@@ -35,11 +32,6 @@ import (
 func ctEqU(a, b uint64) uint64 {
 	x := a ^ b
 	return ((x | -x) >> 63) - 1
-}
-
-// ctNonZero8 returns all-ones if the int8 digit is nonzero.
-func ctNonZero8(d int64) uint64 {
-	return ^(((uint64(d) | -uint64(d)) >> 63) - 1)
 }
 
 // ctIsZeroElem returns all-ones if e == 0.
@@ -134,9 +126,8 @@ func ctSel3LD(ma uint64, a ec.LD64, mb uint64, b, c ec.LD64) ec.LD64 {
 }
 
 // ctScanTable reads every entry of the affine table and returns the
-// one at index idx, negated (y ← x + y) when sign is all-ones. The
-// access pattern is independent of idx and sign.
-func ctScanTable(tab []ec.Affine64, idx, sign uint64) (x, y gf233.Elem64) {
+// one at index idx. The access pattern is independent of idx.
+func ctScanTable(tab []ec.Affine64, idx uint64) (x, y gf233.Elem64) {
 	// The accumulators live in scalar locals: with the array return
 	// values accumulated directly, the compiler keeps them in memory
 	// and this loop is the single hottest in the hardened sign.
@@ -153,12 +144,10 @@ func ctScanTable(tab []ec.Affine64, idx, sign uint64) (x, y gf233.Elem64) {
 		y2 |= e.Y[2] & m
 		y3 |= e.Y[3] & m
 	}
-	x = gf233.Elem64{x0, x1, x2, x3}
-	y = gf233.Elem64{y0 ^ x0&sign, y1 ^ x1&sign, y2 ^ x2&sign, y3 ^ x3&sign}
-	return
+	return gf233.Elem64{x0, x1, x2, x3}, gf233.Elem64{y0, y1, y2, y3}
 }
 
-// loadScalarWords stages 0 ≤ k < 2^232 into the Scratch's fixed-width
+// loadScalarWords stages 0 ≤ k < 2^240 into the Scratch's fixed-width
 // little-endian words (no length-dependent code path: FillBytes writes
 // the full 30 bytes regardless of the value).
 func (s *Scratch) loadScalarWords(k *big.Int) {
@@ -173,51 +162,151 @@ func (s *Scratch) loadScalarWords(k *big.Int) {
 	}
 }
 
-// ctReduceScalar returns k itself when it is already a canonical
-// scalar (0 ≤ k < n, the only values the hardened paths are given) and
-// otherwise falls back to a big.Int reduction into the Scratch. The
-// range check compares against the public order; its outcome is the
-// same for every canonical secret, so the branch is data-independent
-// on the hardened paths.
-func (s *Scratch) ctReduceScalar(k *big.Int) *big.Int {
-	if k.Sign() >= 0 && k.Cmp(ec.Order) < 0 {
+// ctReduceScalar returns k mod m: k itself when 0 ≤ k < m, the only
+// values the hardened paths are given (private scalars and nonces in
+// [1, n−1], with m = n for the comb and 4n for the ladder), and
+// otherwise a big.Int reduction into the Scratch. The range check
+// compares against the public modulus; its outcome is the same for
+// every in-range secret, so the branch is data-independent on the
+// hardened paths.
+func (s *Scratch) ctReduceScalar(k, m *big.Int) *big.Int {
+	if k.Sign() >= 0 && k.Cmp(m) < 0 {
 		return k
 	}
-	return s.mod.Mod(k, ec.Order)
+	return s.mod.Mod(k, m)
 }
 
-// ScalarMultCT computes k·P with a constant-time evaluation: the
-// fixed-length τ-adic recoding, a full masked scan of the width-w α
-// table on every iteration, and branchless digit-sign and
-// exceptional-case handling. P (public) must lie in the prime-order
-// subgroup; the result matches ScalarMult bit for bit.
-func (s *Scratch) ScalarMultCT(k *big.Int, p ec.Affine) ec.Affine {
-	return s.ScalarMultCTLD64(k, p).Affine().Affine()
+// ladderBits is the fixed length of the Montgomery ladder: the bit
+// length of 4n, the order of the curve group. Every scalar reduced
+// modulo 4n takes exactly this many steps.
+const ladderBits = 234
+
+// curveOrder is 4n, the number of points on sect233k1.
+var curveOrder = new(big.Int).Lsh(ec.Order, 2)
+
+// ctSwapLegs exchanges the ladder legs (x1:z1) and (x2:z2) when m is
+// all-ones and keeps them when m is zero, reading and writing all four
+// elements either way.
+func ctSwapLegs(m uint64, x1, z1, x2, z2 *gf233.Elem64) {
+	for i := range x1 {
+		tx := (x1[i] ^ x2[i]) & m
+		tz := (z1[i] ^ z2[i]) & m
+		x1[i] ^= tx
+		x2[i] ^= tx
+		z1[i] ^= tz
+		z2[i] ^= tz
+	}
 }
 
-// ScalarMultCTLD64 is ScalarMultCT stopping short of the final affine
-// conversion.
-func (s *Scratch) ScalarMultCTLD64(k *big.Int, p ec.Affine) ec.LD64 {
+// ladder runs the x-only López–Dahab Montgomery ladder
+// (Hankerson–Menezes–Vanstone, Alg. 3.40) for the scalar staged in
+// s.kw and the point with abscissa x ≠ 0. It returns the projective
+// x-lines (X1:Z1) = [k]P and (X2:Z2) = [k+1]P; Z = 0 is the point at
+// infinity.
+//
+// The legs start at ((1:0), (x:1)) = (∞, P), so leading zero bits cost
+// nothing and every k < 2^ladderBits runs the same ladderBits steps.
+// Each step swaps the legs under a mask of the scalar bit, adds leg 1
+// into leg 2 (their difference is always P, so the addition needs only
+// x), doubles leg 1 and swaps back: 5M + 4S whatever the bit. The bit
+// is addressed by the public loop index alone.
+func (s *Scratch) ladder(x gf233.Elem64) (x1, z1, x2, z2 gf233.Elem64) {
+	x1, x2, z2 = gf233.One64, x, gf233.One64
+	for i := ladderBits - 1; i >= 0; i-- {
+		m := -(s.kw[i>>6] >> (i & 63) & 1)
+		ctSwapLegs(m, &x1, &z1, &x2, &z2)
+		// Leg 2 ← leg 1 + leg 2: Z = (X1·Z2 + X2·Z1)², X = x·Z + X1·Z2·X2·Z1.
+		a := gf233.Mul64(x1, z2)
+		b := gf233.Mul64(x2, z1)
+		z2 = gf233.Sqr64(gf233.Add64(a, b))
+		x2 = gf233.Add64(gf233.Mul64(x, z2), gf233.Mul64(a, b))
+		// Leg 1 ← 2·leg 1 (b = 1): Z = X1²·Z1², X = X1⁴ + Z1⁴ = (X1² + Z1²)².
+		xx := gf233.Sqr64(x1)
+		zz := gf233.Sqr64(z1)
+		z1 = gf233.Mul64(xx, zz)
+		x1 = gf233.Sqr64(gf233.Add64(xx, zz))
+		ctSwapLegs(m, &x1, &z1, &x2, &z2)
+	}
+	return
+}
+
+// LadderX returns the projective x-line (X:Z) of k·P from the
+// constant-time ladder: x(k·P) = X/Z, and Z = 0 when k·P = ∞. P must
+// not have x = 0 (the order-2 point), which no validated peer has.
+// This is the hardened ECDH evaluation; batch callers share the
+// inversion of Z.
+func (s *Scratch) LadderX(k *big.Int, p ec.Affine) (x, z gf233.Elem64) {
 	if p.Inf {
-		return ec.LD64Infinity
+		return gf233.One64, gf233.Zero64
 	}
-	kr := s.ctReduceScalar(k)
-	digits := s.rec.RecodeCT(kr, WRandom)
-	table := s.alphaTable(p.To64(), WRandom)
-	q := ec.LD64Infinity
-	for i := len(digits) - 1; i >= 0; i-- {
-		// One τ per position, zero digit or not: deferring it past zero
-		// digits (as the variable-time loops do) would branch on the
-		// secret digit pattern.
-		q = q.FrobeniusN(1)
-		d := int64(digits[i])
-		sign := uint64(d >> 63)
-		nz := ctNonZero8(d)
-		ad := uint64((d^int64(sign))-int64(sign)) >> 1
-		ex, ey := ctScanTable(table, ad, sign)
-		q = ctSelLD(nz, ctAddMixed(q, ex, ey), q)
+	s.loadScalarWords(s.ctReduceScalar(k, curveOrder))
+	x, z, _, _ = s.ladder(gf233.ToElem64(p.X))
+	return x, z
+}
+
+// LadderX is x(k·P) from the constant-time ladder, normalised with the
+// fixed-chain Itoh–Tsujii inversion (pooled Scratch); ok is false when
+// k·P = ∞.
+func LadderX(k *big.Int, p ec.Affine) (x gf233.Elem, ok bool) {
+	s := getScratch()
+	defer putScratch(s)
+	lx, lz := s.LadderX(k, p)
+	zi, ok := gf233.InvItohTsujii64(lz)
+	return gf233.Mul64(lx, zi).Elem(), ok
+}
+
+// ScalarMultLadder computes k·P for any integer k and any point P on
+// the curve with the constant-time ladder, the countermeasure the
+// paper's future-work section (§5) proposes against power analysis. k
+// is reduced modulo 4n, so every scalar runs the same ladderBits
+// steps; y is recovered from both legs with one fixed-chain inversion.
+// The only branches are on the public P (∞, and the order-2 point
+// x = 0, which the x-only formulas cannot recover y for) and on the
+// result (∞, and −P when (k+1)·P = ∞).
+func ScalarMultLadder(k *big.Int, p ec.Affine) ec.Affine {
+	if p.Inf {
+		return ec.Infinity
 	}
-	return q
+	s := getScratch()
+	defer putScratch(s)
+	kr := s.ctReduceScalar(k, curveOrder)
+	q := p.To64()
+	if q.X.IsZero() {
+		// Order-2 point: k·P = P for odd k, ∞ for even.
+		if kr.Bit(0) == 1 {
+			return p
+		}
+		return ec.Infinity
+	}
+	s.loadScalarWords(kr)
+	x1, z1, x2, z2 := s.ladder(q.X)
+	return ladderXY(q, x1, z1, x2, z2).Affine()
+}
+
+// ladderXY recovers the affine k·P from the ladder legs (Alg. 3.40
+// step 3) with one inversion, of x·Z1·Z2:
+//
+//	x_k = X1/Z1
+//	y_k = (x + x_k)·[(X1 + x·Z1)(X2 + x·Z2) + (x² + y)·Z1·Z2] / (x·Z1·Z2) + y
+func ladderXY(p ec.Affine64, x1, z1, x2, z2 gf233.Elem64) ec.Affine64 {
+	if z1.IsZero() {
+		return ec.Affine64{Inf: true}
+	}
+	if z2.IsZero() {
+		// (k+1)·P = ∞, so k·P = −P.
+		return p.Neg()
+	}
+	x, y := p.X, p.Y
+	z1z2 := gf233.Mul64(z1, z2)
+	xz2 := gf233.Mul64(x, z2)
+	inv, _ := gf233.InvItohTsujii64(gf233.Mul64(x, z1z2))
+	xk := gf233.Mul64(gf233.Mul64(x1, xz2), inv)
+	t1 := gf233.Add64(x1, gf233.Mul64(x, z1))
+	t2 := gf233.Add64(x2, xz2)
+	t3 := gf233.Add64(gf233.Sqr64(x), y)
+	num := gf233.Add64(gf233.Mul64(t1, t2), gf233.Mul64(t3, z1z2))
+	yk := gf233.Add64(gf233.Mul64(gf233.Add64(x, xk), gf233.Mul64(num, inv)), y)
+	return ec.Affine64{X: xk, Y: yk}
 }
 
 // ScalarBaseMultCT computes k·G on the generator comb with a
@@ -293,7 +382,7 @@ func (cc *combCT) scalarMultCTLD64(s *Scratch, k *big.Int) ec.LD64 {
 	if c.point.Inf {
 		return ec.LD64Infinity
 	}
-	kr := s.ctReduceScalar(k)
+	kr := s.ctReduceScalar(k, ec.Order)
 	s.loadScalarWords(kr)
 	q := ec.LD64Infinity
 	for col := cc.e - 1; col >= 0; col-- {
@@ -313,15 +402,8 @@ func ctAddColumn(s *Scratch, q ec.LD64, tab []ec.Affine64, col, d, w int) ec.LD6
 	nz := ^(((u | -u) >> 63) - 1)
 	// Table index u−1; a zero column scans for dummy index 0.
 	idx := (u - 1) & nz
-	ex, ey := ctScanTable(tab, idx, 0)
+	ex, ey := ctScanTable(tab, idx)
 	return ctSelLD(nz, ctAddMixed(q, ex, ey), q)
-}
-
-// ScalarMultCT is the package-level entry point (pooled Scratch).
-func ScalarMultCT(k *big.Int, p ec.Affine) ec.Affine {
-	s := getScratch()
-	defer putScratch(s)
-	return s.ScalarMultCT(k, p)
 }
 
 // ScalarBaseMultCT is the package-level entry point (pooled Scratch).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ec"
+	"repro/internal/gf233"
 )
 
 func ctEvalScalars() []*big.Int {
@@ -40,36 +41,93 @@ func TestScalarBaseMultCTMatchesFast(t *testing.T) {
 	}
 }
 
-// TestScalarMultCTMatchesFast pins the constant-time τ-adic evaluator
-// to the fast path for arbitrary points.
-func TestScalarMultCTMatchesFast(t *testing.T) {
+// ladderCTScalars adds to ctEvalScalars the scalars that exercise the
+// ladder's fixed length: 7, and 2^232 − 1, which is above n but below
+// 4n and so runs unreduced through the top of the loop.
+func ladderCTScalars() []*big.Int {
+	top := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 232), big.NewInt(1))
+	return append(ctEvalScalars(), big.NewInt(7), top)
+}
+
+// TestLadderCTMatchesFast pins the constant-time ladder to the fast
+// path, at the generator and at a non-generator subgroup point: the
+// projective x-line, the normalised x of the one-shot entry point, and
+// ScalarMultLadder's recovered y.
+func TestLadderCTMatchesFast(t *testing.T) {
 	s := NewScratch()
-	// A couple of distinct base points: the generator and a random
-	// subgroup multiple of it.
-	points := []ec.Affine{ec.Gen()}
-	points = append(points, s.ScalarBaseMult(big.NewInt(0x1234567)))
+	points := []ec.Affine{ec.Gen(), s.ScalarBaseMult(big.NewInt(0x1234567))}
 	for _, p := range points {
-		for _, k := range ctEvalScalars() {
+		for _, k := range ladderCTScalars() {
 			want := s.ScalarMult(k, p)
-			got := s.ScalarMultCT(k, p)
-			if !pointsEqualCT(got, want) {
-				t.Fatalf("k=%v: CT ladder %v != fast %v", k, got, want)
+			lx, lz := s.LadderX(k, p)
+			if lz.IsZero() != want.Inf {
+				t.Fatalf("k=%v: ladder Z = 0 is %v, fast ∞ is %v", k, lz.IsZero(), want.Inf)
+			}
+			x, ok := LadderX(k, p)
+			if ok == want.Inf || (ok && x != want.X) {
+				t.Fatalf("k=%v: LadderX = (%v, %v), fast %v", k, x, ok, want)
+			}
+			if ok && gf233.Mul64(gf233.ToElem64(x), lz) != lx {
+				t.Fatalf("k=%v: X/Z != LadderX", k)
+			}
+			if got := ScalarMultLadder(k, p); !pointsEqualCT(got, want) {
+				t.Fatalf("k=%v: ScalarMultLadder %v != fast %v", k, got, want)
 			}
 		}
 	}
 }
 
-// TestScalarMultCTZeroAndInfinity covers the degenerate inputs.
-func TestScalarMultCTZeroAndInfinity(t *testing.T) {
+// TestLadderCTZeroAndInfinity covers the degenerate inputs: the zero
+// scalar and the group order give Z = 0, and the point at infinity
+// stays there.
+func TestLadderCTZeroAndInfinity(t *testing.T) {
 	s := NewScratch()
-	if got := s.ScalarMultCT(big.NewInt(0), ec.Gen()); !got.Inf {
-		t.Fatalf("0·G = %v, want infinity", got)
+	for _, k := range []*big.Int{big.NewInt(0), ec.Order} {
+		if _, z := s.LadderX(k, ec.Gen()); !z.IsZero() {
+			t.Fatalf("%v·G: ladder Z = %v, want 0", k, z)
+		}
+		if _, ok := LadderX(k, ec.Gen()); ok {
+			t.Fatalf("%v·G: LadderX reported a finite point", k)
+		}
 	}
 	if got := s.ScalarBaseMultCT(big.NewInt(0)); !got.Inf {
 		t.Fatalf("comb 0·G = %v, want infinity", got)
 	}
-	if got := s.ScalarMultCT(big.NewInt(5), ec.Infinity); !got.Inf {
+	if _, z := s.LadderX(big.NewInt(5), ec.Infinity); !z.IsZero() {
+		t.Fatalf("5·∞: ladder Z = %v, want 0", z)
+	}
+	if got := ScalarMultLadder(big.NewInt(5), ec.Infinity); !got.Inf {
 		t.Fatalf("5·∞ = %v, want infinity", got)
+	}
+}
+
+// TestLadderCTWholeCurve holds ScalarMultLadder to the generic
+// double-and-add off the prime-order subgroup, where only reduction
+// modulo 4n (not n) is sound: points P + T for T of order 2 and 4,
+// with scalars around multiples of n, beyond 4n and negative.
+func TestLadderCTWholeCurve(t *testing.T) {
+	g := ec.Gen()
+	n := ec.Order
+	torsion := []ec.Affine{
+		{X: gf233.Zero, Y: gf233.One}, // order 2
+		{X: gf233.One, Y: gf233.Zero}, // order 4
+	}
+	scalars := []*big.Int{
+		big.NewInt(2), big.NewInt(3), big.NewInt(4), n,
+		new(big.Int).Add(n, big.NewInt(1)),
+		new(big.Int).Add(new(big.Int).Lsh(n, 1), big.NewInt(1)),
+		new(big.Int).Sub(curveOrder, big.NewInt(1)),
+		new(big.Int).Add(curveOrder, big.NewInt(5)),
+		big.NewInt(-5),
+	}
+	for _, tp := range torsion {
+		p := g.Add(tp)
+		for _, k := range scalars {
+			want := ec.ScalarMultGeneric(new(big.Int).Mod(k, curveOrder), p)
+			if got := ScalarMultLadder(k, p); !pointsEqualCT(got, want) {
+				t.Fatalf("P+T, k=%v: ladder %v != generic %v", k, got, want)
+			}
+		}
 	}
 }
 
@@ -79,8 +137,8 @@ func TestCTPackageEntryPoints(t *testing.T) {
 	if got, want := ScalarBaseMultCT(k), ScalarBaseMult(k); !pointsEqualCT(got, want) {
 		t.Fatalf("package ScalarBaseMultCT mismatch")
 	}
-	if got, want := ScalarMultCT(k, ec.Gen()), ScalarMult(k, ec.Gen()); !pointsEqualCT(got, want) {
-		t.Fatalf("package ScalarMultCT mismatch")
+	if x, ok := LadderX(k, ec.Gen()); !ok || x != ScalarMult(k, ec.Gen()).X {
+		t.Fatalf("package LadderX mismatch")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ec"
+	"repro/internal/gf233"
 )
 
 // Errors returned by the key-agreement functions.
@@ -27,7 +28,8 @@ func GenerateKey(rand io.Reader) (*core.PrivateKey, error) {
 
 // Validate checks an incoming public key: on curve, not the identity,
 // and in the prime-order subgroup (n·Q = ∞), rejecting small-subgroup
-// confinement before any secret-dependent computation.
+// confinement before any secret-dependent computation. It is the
+// reference ValidateTau is tested against.
 //
 // The membership check deliberately uses the generic double-and-add
 // ladder: the τ-adic fast path of core.ScalarMult reduces the scalar
@@ -53,7 +55,8 @@ func Validate(peer ec.Affine) error {
 // τ-adic n·P evaluation the check used to run. The differential test
 // in validate_tau_test.go holds the two validators equal on every
 // coset of the subgroup. Every public-key constructor, the ECQV
-// certificate paths and the batch engine validate with this.
+// certificate paths, SharedSecret and the batch engine validate with
+// this.
 func ValidateTau(peer ec.Affine) error {
 	if peer.Inf || !peer.OnCurve() {
 		return ErrInvalidPublicKey
@@ -64,55 +67,40 @@ func ValidateTau(peer ec.Affine) error {
 	return nil
 }
 
-// SharedSecret computes the raw shared abscissa d·Q using the paper's
-// random-point multiplication (kP path).
+// SharedSecret validates the peer with ValidateTau and returns the raw
+// shared abscissa x(d·Q). A fast key evaluates d·Q with the paper's
+// random-point multiplication (kP path); a hardened key runs the
+// constant-time x-only ladder and one fixed-chain inversion, since ECDH
+// needs only x. Both give the same bytes: 31–38 µs fast and 54–57 µs
+// hardened, validation included (2-vCPU Xeon VM with CLMUL).
 func SharedSecret(priv *core.PrivateKey, peer ec.Affine) ([]byte, error) {
-	return sharedSecret(Validate, priv, peer)
-}
-
-// SharedSecretTau is SharedSecret with the fast validator
-// (ValidateTau): the same predicate, so the validation costs ~1 µs
-// instead of a second scalar multiplication; a fast-key shared secret
-// is ~54 µs on a Xeon core, a hardened one ~216 µs. This is the
-// one-shot path for peers that arrive as validated opaque keys, where
-// the re-validation is defense in depth.
-func SharedSecretTau(priv *core.PrivateKey, peer ec.Affine) ([]byte, error) {
-	return sharedSecret(ValidateTau, priv, peer)
-}
-
-func sharedSecret(validate func(ec.Affine) error, priv *core.PrivateKey, peer ec.Affine) ([]byte, error) {
-	if err := validate(peer); err != nil {
+	if err := ValidateTau(peer); err != nil {
 		return nil, err
 	}
-	// A hardened key evaluates d·Q with the constant-time τ-adic
-	// ladder (fixed-length recoding, masked table scans); the result
-	// is bit-identical to the fast path.
-	var p ec.Affine
+	var x gf233.Elem
+	var ok bool
 	if priv.ConstTime {
-		p = core.ScalarMultCT(priv.D, peer)
+		x, ok = core.LadderX(priv.D, peer)
 	} else {
-		p = core.ScalarMult(priv.D, peer)
+		p := core.ScalarMult(priv.D, peer)
+		x, ok = p.X, !p.Inf
 	}
-	if p.Inf {
+	if !ok {
 		return nil, ErrWeakSharedPoint
 	}
-	x := p.X.Bytes()
-	return x[:], nil
+	b := x.Bytes()
+	return b[:], nil
+}
+
+// SharedSecretTau is SharedSecret, under the name bench/ still calls.
+func SharedSecretTau(priv *core.PrivateKey, peer ec.Affine) ([]byte, error) {
+	return SharedSecret(priv, peer)
 }
 
 // SharedKey derives a symmetric key of the requested length from the
 // shared secret with a SHA-256-based KDF (counter mode, SEC 1 style).
 func SharedKey(priv *core.PrivateKey, peer ec.Affine, length int) ([]byte, error) {
-	return sharedKey(SharedSecret, priv, peer, length)
-}
-
-// SharedKeyTau is SharedKey over SharedSecretTau (fast validation).
-func SharedKeyTau(priv *core.PrivateKey, peer ec.Affine, length int) ([]byte, error) {
-	return sharedKey(SharedSecretTau, priv, peer, length)
-}
-
-func sharedKey(secretFn func(*core.PrivateKey, ec.Affine) ([]byte, error), priv *core.PrivateKey, peer ec.Affine, length int) ([]byte, error) {
-	secret, err := secretFn(priv, peer)
+	secret, err := SharedSecret(priv, peer)
 	if err != nil {
 		return nil, err
 	}

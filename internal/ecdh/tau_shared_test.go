@@ -1,7 +1,6 @@
 package ecdh
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -10,40 +9,31 @@ import (
 	"repro/internal/gf233"
 )
 
-// TestTauVariantsMatchGeneric holds the τ-validated shared-secret
-// paths equal to the generic-validated ones, on valid peers and on
-// every rejection class.
+// TestTauVariantsMatchGeneric holds the fast-validated shared-secret
+// path to the generic validator on every rejection class: the identity
+// and an off-subgroup point (the cofactor-4 curve has a point of order
+// 2 — x = 0) are rejected by Validate, and SharedSecret and SharedKey
+// reject them too, for fast and hardened keys alike.
 func TestTauVariantsMatchGeneric(t *testing.T) {
 	rnd := rand.New(rand.NewSource(61))
 	priv, err := core.GenerateKey(rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := core.GenerateKey(rnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err1 := SharedSecret(priv, peer.Public)
-	s2, err2 := SharedSecretTau(priv, peer.Public)
-	if err1 != nil || err2 != nil || !bytes.Equal(s1, s2) {
-		t.Fatalf("shared secrets diverge: %v %v", err1, err2)
-	}
-	k1, err1 := SharedKey(priv, peer.Public, 32)
-	k2, err2 := SharedKeyTau(priv, peer.Public, 32)
-	if err1 != nil || err2 != nil || !bytes.Equal(k1, k2) {
-		t.Fatalf("derived keys diverge: %v %v", err1, err2)
-	}
-	// Rejections agree too: identity and an off-subgroup point (the
-	// cofactor-4 curve has points of order 2 — x = 0).
+	hard := *priv
+	hard.ConstTime = true
 	bad := []ec.Affine{ec.Infinity, {X: gf233.Zero, Y: gf233.One}}
 	for i, p := range bad {
-		_, err1 := SharedSecret(priv, p)
-		_, err2 := SharedSecretTau(priv, p)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("bad peer %d: validators disagree (%v vs %v)", i, err1, err2)
+		if Validate(p) == nil {
+			t.Fatalf("bad peer %d: the generic validator accepts it", i)
 		}
-		if err2 == nil {
-			t.Fatalf("bad peer %d accepted", i)
+		for _, k := range []*core.PrivateKey{priv, &hard} {
+			if _, err := SharedSecret(k, p); err == nil {
+				t.Fatalf("bad peer %d accepted by SharedSecret (ConstTime %v)", i, k.ConstTime)
+			}
+			if _, err := SharedKey(k, p, 32); err == nil {
+				t.Fatalf("bad peer %d accepted by SharedKey (ConstTime %v)", i, k.ConstTime)
+			}
 		}
 	}
 }

@@ -60,38 +60,43 @@ func TestZeroAllocScalarMult(t *testing.T) {
 }
 
 // TestZeroAllocBatchECDH pins steady-state batched ECDH — the slice
-// kernel and the Engine round trip — at zero allocations per op.
+// kernel and the Engine round trip — at zero allocations per op, for a
+// fast key (τ-adic kP) and a ConstTime key (the Montgomery ladder).
 func TestZeroAllocBatchECDH(t *testing.T) {
 	skipIfRace(t)
 	priv, err := core.GenerateKey(rand.New(rand.NewSource(61)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	hard := *priv
+	hard.ConstTime = true
 	g := ec.Gen()
 	peers := make([]ec.Affine, 32)
 	for i := range peers {
 		peers[i] = ec.ScalarMultGeneric(big.NewInt(int64(2*i+1)), g)
 	}
-	out := make([]ECDHResult, len(peers))
-	BatchSharedSecret(priv, peers, out) // reach steady state
-	if avg := testing.AllocsPerRun(20, func() {
-		BatchSharedSecret(priv, peers, out)
-	}); avg != 0 {
-		t.Fatalf("BatchSharedSecret allocates %v per batch, want 0", avg)
-	}
-
 	e := New(Config{MaxBatch: 8, Workers: 1})
 	defer e.Close()
-	buf := make([]byte, 0, SecretSize)
-	if _, err := e.SharedSecretAppend(buf, priv, peers[0]); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if _, err := e.SharedSecretAppend(buf, priv, peers[0]); err != nil {
+	for _, k := range []*core.PrivateKey{priv, &hard} {
+		out := make([]ECDHResult, len(peers))
+		BatchSharedSecret(k, peers, out) // reach steady state
+		if avg := testing.AllocsPerRun(20, func() {
+			BatchSharedSecret(k, peers, out)
+		}); avg != 0 {
+			t.Fatalf("ConstTime %v: BatchSharedSecret allocates %v per batch, want 0", k.ConstTime, avg)
+		}
+
+		buf := make([]byte, 0, SecretSize)
+		if _, err := e.SharedSecretAppend(buf, k, peers[0]); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("engine SharedSecretAppend allocates %v/op, want 0", avg)
+		if avg := testing.AllocsPerRun(50, func() {
+			if _, err := e.SharedSecretAppend(buf, k, peers[0]); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("ConstTime %v: engine SharedSecretAppend allocates %v/op, want 0", k.ConstTime, avg)
+		}
 	}
 }
 

@@ -228,7 +228,10 @@ func processBatch(s *batchScratch, batch []*request) {
 				continue
 			}
 			if r.ct || r.priv.ConstTime {
-				r.ld = s.cs.ScalarMultCTLD64(r.priv.D, r.point)
+				// The ladder's x-line (X:Z) rides in r.ld: finalisation
+				// reads only X·Z⁻¹, which is x on either path.
+				x, z := s.cs.LadderX(r.priv.D, r.point)
+				r.ld = ec.LD64{X: x, Z: z}
 			} else {
 				r.ld = s.cs.ScalarMultLD64(r.priv.D, r.point)
 			}
@@ -280,14 +283,13 @@ func processBatch(s *batchScratch, batch []*request) {
 		case opScalarMult:
 			r.res = affineFrom(r.ld, zs[i])
 		case opECDH:
-			p := affineFrom(r.ld, zs[i])
-			if p.Inf {
+			if r.ld.IsInfinity() {
 				// Unreachable for a validated peer and d ∈ [1, n−1],
 				// but the contract mirrors ecdh.SharedSecret.
 				r.err = ecdh.ErrWeakSharedPoint
 				continue
 			}
-			r.secret = p.X.Bytes()
+			r.secret = gf233.Mul64(r.ld.X, zs[i]).Elem().Bytes()
 		case opSign:
 			// r = x(k·G) mod n from the shared inverse.
 			x := gf233.Mul64(r.ld.X, zs[i]).Elem().Bytes()

@@ -50,9 +50,13 @@ func TestBatchScalarMultMatchesSequential(t *testing.T) {
 }
 
 // TestBatchSharedSecretMatchesSequential cross-checks batched ECDH
-// (including validation failures) against ecdh.SharedSecret.
+// (including validation failures) against the fast ecdh.SharedSecret,
+// for the fast key and for its ConstTime twin (the Montgomery ladder,
+// whose x-line the batch normalises with the shared inversion).
 func TestBatchSharedSecretMatchesSequential(t *testing.T) {
 	priv := testKey(t, 2)
+	hard := *priv
+	hard.ConstTime = true
 	g := ec.Gen()
 	var peers []ec.Affine
 	for i := 0; i < 9; i++ {
@@ -64,14 +68,16 @@ func TestBatchSharedSecretMatchesSequential(t *testing.T) {
 	small := ec.Affine{Y: ec.B} // (0, 1): order-2 point
 	peers = append(peers, ec.Infinity, offCurve, small)
 	out := make([]ECDHResult, len(peers))
-	BatchSharedSecret(priv, peers, out)
-	for i, peer := range peers {
-		want, wantErr := ecdh.SharedSecret(priv, peer)
-		if (out[i].Err == nil) != (wantErr == nil) {
-			t.Fatalf("peer %d: batch err %v, sequential err %v", i, out[i].Err, wantErr)
-		}
-		if wantErr == nil && !bytes.Equal(out[i].Secret[:], want) {
-			t.Fatalf("peer %d: secrets diverged", i)
+	for _, k := range []*core.PrivateKey{priv, &hard} {
+		BatchSharedSecret(k, peers, out)
+		for i, peer := range peers {
+			want, wantErr := ecdh.SharedSecret(priv, peer)
+			if (out[i].Err == nil) != (wantErr == nil) {
+				t.Fatalf("ConstTime %v, peer %d: batch err %v, sequential err %v", k.ConstTime, i, out[i].Err, wantErr)
+			}
+			if wantErr == nil && !bytes.Equal(out[i].Secret[:], want) {
+				t.Fatalf("ConstTime %v, peer %d: secrets diverged", k.ConstTime, i)
+			}
 		}
 	}
 }

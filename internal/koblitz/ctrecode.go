@@ -6,42 +6,19 @@ import (
 	"sync"
 )
 
-// ctrecode.go — fixed-width partial reduction, and the constant-time
-// fixed-length width-w TNAF recoding of the hardened signing path.
+// ctrecode.go — partial reduction modulo δ on fixed-width words, the
+// first stage of every fast recoding (partModWords in scratch.go).
 //
-// Both recodings reduce on the words below. The fast pipeline
-// (scratch.go) adds Solinas' data-dependent lattice correction to the
-// shared rounding and then runs a digit loop that branches on digit
-// values and stops when the residue is exhausted. The hardened
-// pipeline removes the three leaks that leaves:
+// The quotient k/δ = k·conj(δ)/N(δ) is rounded per coordinate on
+// fixed-width two's-complement words, with a Barrett reciprocal in
+// place of big.Int division (ctNumerators, ctRoundDiv), and the residue
+// ρ = k − q·δ is formed on two-word integers (ctResidue). These steps
+// run the same instruction sequence for every scalar, hence the ct
+// prefix; partModWords then applies Solinas' data-dependent lattice
+// correction, so its ρ is exactly PartMod's.
 //
-//   - the partial reduction runs on fixed-width two's-complement words
-//     with a Barrett reciprocal in place of big.Int division, so every
-//     scalar takes the identical instruction and data-access sequence;
-//   - the recoding loop runs exactly CTDigits iterations regardless of
-//     the scalar, producing an all-zero tail once the residue is
-//     exhausted;
-//   - digit extraction, window-representative selection and the sign
-//     handling are branchless: the α table is read in full every
-//     iteration and the live entry selected with bitmasks.
-//
-// The price is a slightly weaker norm bound than Solinas' Routine 60:
-// the constant-time rounding keeps only the per-coordinate nearest
-// integer (|η_i| ≤ 1/2, so N(ρ) ≤ N(δ)) and skips the data-dependent
-// lattice correction (which would tighten it to (4/7)·N(δ)). The digit
-// string is therefore up to one digit longer, which CTDigits absorbs.
-// The representative ρ can differ from PartMod's, but both are ≡ k
-// (mod δ), so they multiply to the same point.
-//
-// The word arithmetic is math/bits' Add64, Sub64 and Mul64, which Go
-// documents as constant-time, and plain 64-bit multiplication.
-
-// CTDigits is the fixed digit-string length of the constant-time
-// recoding: every RecodeCT call emits exactly this many digits,
-// independent of the scalar. N(ρ) ≤ N(δ) = n ≈ 2^232 bounds the live
-// prefix by ~log2 N(ρ) + w + a few digits; 250 leaves margin for every
-// supported width (the tail pads with zeros).
-const CTDigits = 250
+// The word arithmetic is math/bits' Add64, Sub64 and Mul64 and plain
+// 64-bit multiplication.
 
 // ctOffExp is the exponent of the positivity offset folded into the
 // Barrett numerator: x = 2·num + den + 2^ctOffExp·(2·den) is positive
@@ -51,8 +28,8 @@ const CTDigits = 250
 const ctOffExp = 120
 
 // i128 is a 128-bit two's-complement integer. It carries the recoding
-// residues of both pipelines (|r_i| < 2^117, see partModCT) and the
-// rounded quotients of the partial reduction. Go keeps a two-field
+// residues (|r_i| < 2^117, see partModWords) and the rounded quotients
+// of the partial reduction. Go keeps a two-field
 // struct in registers through the digit loops, where it spills an
 // array.
 type i128 struct{ lo, hi uint64 }
@@ -85,11 +62,6 @@ func (x i128) mul(y i128) i128 {
 func (x i128) asr1() i128 {
 	return i128{x.lo>>1 | x.hi<<63, uint64(int64(x.hi) >> 1)}
 }
-
-// isZero reports x == 0 via a branch on the aggregated bit only (used
-// after the fixed-length loop as a correctness assertion; the bit is
-// identical for every valid input, so the branch is data-independent).
-func (x i128) isZero() bool { return x.lo|x.hi == 0 }
 
 // ctConsts holds the public precomputed constants of the fixed-width
 // partial reduction, all derived from δ once.
@@ -281,103 +253,4 @@ func ctResidue(k [4]uint64, qa, qb i128) (r0, r1 i128) {
 	re := qa.mul(ctK.dA).sub(qbdB.add(qbdB))
 	im := qa.mul(ctK.dB).add(qb.mul(ctK.dA)).sub(qbdB)
 	return i128{k[0], k[1]}.sub(re), im.neg()
-}
-
-// partModCT partially reduces the scalar k (little-endian words,
-// 0 ≤ k < n) modulo δ on fixed-width words: ρ = k − round(k·conj(δ)/n)·δ
-// with per-coordinate nearest rounding, so N(ρ) ≤ N(δ) and ρ ≡ k (mod δ).
-// N(ρ) ≤ N(δ) puts both coordinates of ρ below 2^117.
-func partModCT(k [4]uint64) (r0, r1 i128) {
-	ctInit()
-	numA, numB := ctNumerators(k)
-	qa, _ := ctRoundDiv(numA)
-	qb, _ := ctRoundDiv(numB)
-	return ctResidue(k, qa, qb)
-}
-
-// ctEqMask returns all-ones if a == b.
-func ctEqMask(a, b uint64) uint64 {
-	x := a ^ b
-	return ((x | -x) >> 63) - 1
-}
-
-// recodeCT runs the fixed-length width-w TNAF digit loop on the
-// residues: exactly len(digits) iterations, each performing the same
-// instruction sequence — branchless digit extraction, a full masked
-// scan of the α table, branchless sign handling and the τ division.
-func recodeCT(r0, r1 i128, w int, digits []int8) {
-	alphaA, alphaB, twi := alphaInt64(w)
-	tw := uint64(twi)
-	mask := uint64(1)<<w - 1
-	for i := range digits {
-		odd := -(r0.lo & 1) // all-ones if r0 is odd
-		m := (r0.lo + r1.lo*tw) & mask
-		// Symmetric residue mods 2^w, zeroed when r0 is even.
-		d := int64(m) - int64((m>>(w-1))&1)<<w
-		d &= int64(odd)
-		sign := d >> 63
-		ad := uint64((d ^ sign) - sign)
-		idx := ad >> 1
-		// Masked linear scan: every α entry is read every iteration.
-		var sa, sb int64
-		for j := range alphaA {
-			em := int64(ctEqMask(uint64(j), idx))
-			sa |= alphaA[j] & em
-			sb |= alphaB[j] & em
-		}
-		// Apply the digit sign, and suppress the subtraction entirely
-		// on even iterations (idx would otherwise select α_1).
-		sa = ((sa ^ sign) - sign) & int64(odd)
-		sb = ((sb ^ sign) - sign) & int64(odd)
-		r0 = r0.sub(i128From(sa))
-		r1 = r1.sub(i128From(sb))
-		digits[i] = int8(d)
-		// (r0, r1) ← (r0 + r1τ)/τ = (r1 + µ·r0/2, −r0/2) with µ = −1.
-		half := r0.asr1()
-		r0 = r1.sub(half)
-		r1 = half.neg()
-	}
-	if !r0.isZero() || !r1.isZero() {
-		// Fires only on a bound bug (CTDigits too short), never as a
-		// function of a valid scalar: N(ρ) ≤ N(δ) makes every residue
-		// reach zero well before the fixed length runs out.
-		panic("koblitz: constant-time recoding residue not exhausted")
-	}
-}
-
-// RecodeCT is the constant-time counterpart of Recode: partial
-// reduction of k modulo δ and width-w TNAF recoding with no
-// early-exit, no digit-value branches, and an output length
-// (CTDigits) independent of the scalar. The caller must supply
-// 0 ≤ k < n (the group order) and 3 ≤ w ≤ MaxW. The returned digits
-// alias the Scratch and are valid until the next RecodeCT; the
-// represented element is ≡ k (mod δ) but may differ from Recode's
-// representative (both multiply to the same point).
-func (s *Scratch) RecodeCT(k *big.Int, w int) []int8 {
-	if w < 3 || w > MaxW {
-		panic("koblitz: unsupported constant-time window width")
-	}
-	if k.Sign() < 0 || k.BitLen() > 232 {
-		panic("koblitz: constant-time recoding scalar out of range")
-	}
-	if cap(s.digitsCT) < CTDigits {
-		s.digitsCT = make([]int8, CTDigits)
-	}
-	s.digitsCT = s.digitsCT[:CTDigits]
-	k.FillBytes(s.ctBuf[:30])
-	var kw [4]uint64
-	for i := range kw {
-		for j := 0; j < 8; j++ {
-			b := 30 - 8*i - 1 - j
-			if b >= 0 {
-				kw[i] |= uint64(s.ctBuf[b]) << (8 * j)
-			}
-		}
-	}
-	r0, r1 := partModCT(kw)
-	recodeCT(r0, r1, w, s.digitsCT)
-	for i := range kw {
-		kw[i] = 0
-	}
-	return s.digitsCT
 }

@@ -28,11 +28,6 @@ type Scratch struct {
 	// consumers.
 	digitsW  []int16
 	digitsW2 []int16
-	// digitsCT is the fixed-length buffer of the constant-time
-	// recoding (RecodeCT) and ctBuf its scalar staging area; both
-	// carry secrets and are zeroed by Wipe.
-	digitsCT []int8
-	ctBuf    [32]byte
 }
 
 // WipeInt zeroes v's storage — including capacity beyond the current
@@ -51,20 +46,14 @@ func WipeInt(v *big.Int) {
 }
 
 // Wipe zeroes every digit buffer the Scratch retains (including
-// capacity beyond the current lengths) and the constant-time staging
-// bytes, while keeping the storage for reuse. The recoding of a secret
-// scalar is invertible (Reconstruct recovers it), so callers that
-// recode nonces or private keys wipe before the Scratch idles in a
-// pool.
+// capacity beyond the current lengths), while keeping the storage for
+// reuse. The recoding of a secret scalar is invertible (Reconstruct
+// recovers it), so callers that recode nonces or private keys wipe
+// before the Scratch idles in a pool.
 func (s *Scratch) Wipe() {
-	for i := range s.ctBuf {
-		s.ctBuf[i] = 0
-	}
-	for _, buf := range [][]int8{s.digits, s.digitsCT} {
-		digits := buf[:cap(buf)]
-		for i := range digits {
-			digits[i] = 0
-		}
+	digits := s.digits[:cap(s.digits)]
+	for i := range digits {
+		digits[i] = 0
 	}
 	for _, buf := range [][]int16{s.digitsW, s.digitsW2} {
 		digits := buf[:cap(buf)]
@@ -137,7 +126,7 @@ func reduce(k *big.Int) (r0, r1 i128) {
 }
 
 // partModWords is PartMod on fixed-width words: the constant-time
-// per-coordinate rounding of partModCT followed by Solinas' Routine 60
+// per-coordinate rounding of ctrecode.go followed by Solinas' Routine 60
 // lattice correction, so the representative is exactly PartMod(k)'s
 // and N(ρ) ≤ (4/7)·N(δ). The caller supplies 0 ≤ k < 2^fastBits.
 func partModWords(k [4]uint64) (r0, r1 i128) {

@@ -42,8 +42,7 @@ func TestScratchRecodeMatchesReference(t *testing.T) {
 
 // TestScratchWipe checks that Wipe leaves no trace of the recoded
 // scalar: every digit buffer (each invertible back to the scalar),
-// including capacity beyond its length, and the constant-time staging
-// bytes must read zero. The residues never outlive a call, so the
+// including capacity beyond its length, must read zero. The residues never outlive a call, so the
 // buffers are all a Scratch retains.
 func TestScratchWipe(t *testing.T) {
 	var s Scratch
@@ -60,13 +59,10 @@ func TestScratchWipe(t *testing.T) {
 	}
 	s.RecodeWide(k, 10)
 	s.RecodeWideSecond(k, 12)
-	s.RecodeCT(k, 4)
 	s.Wipe()
-	for name, buf := range map[string][]int8{"digits": s.digits, "digitsCT": s.digitsCT} {
-		for i, d := range buf[:cap(buf)] {
-			if d != 0 {
-				t.Fatalf("%s[%d] survived Wipe", name, i)
-			}
+	for i, d := range s.digits[:cap(s.digits)] {
+		if d != 0 {
+			t.Fatalf("digits[%d] survived Wipe", i)
 		}
 	}
 	for name, buf := range map[string][]int16{"digitsW": s.digitsW, "digitsW2": s.digitsW2} {
@@ -77,11 +73,6 @@ func TestScratchWipe(t *testing.T) {
 			if d != 0 {
 				t.Fatalf("%s[%d] survived Wipe", name, i)
 			}
-		}
-	}
-	for i, b := range s.ctBuf {
-		if b != 0 {
-			t.Fatalf("ctBuf[%d] survived Wipe", i)
 		}
 	}
 	// The scratch must still work after a wipe.
@@ -123,7 +114,7 @@ func TestScratchRecodeReconstructs(t *testing.T) {
 // reference PartMod coordinate for coordinate, over random scalars of
 // every size below 2^fastBits, and checks that the sample reaches each
 // of Routine 60's four lattice corrections (the branches that make the
-// representative PartMod's rather than partModCT's).
+// representative PartMod's rather than the per-coordinate rounding's).
 func TestPartModWordsMatchesPartMod(t *testing.T) {
 	ctInit()
 	rnd := rand.New(rand.NewSource(99))

@@ -9,18 +9,20 @@
 // τ² + 2 = µτ with µ = −1 (curve coefficient a = 0), so Z[τ] is the
 // quadratic ring Z[x]/(x² + x + 2).
 //
-// The package has three pipelines with one digit semantics:
+// The package has two pipelines with one digit semantics:
 //
 //   - the reference, PartMod + WTNAF on big.Int (ZTau): the oracle of
 //     the tests, and what the M0+ model (internal/profile,
 //     internal/codegen) recodes through;
 //   - the fast Scratch path (Recode, RecodeWide, RecodeInto,
-//     RecodeIntInto) for every host scalar multiplication: partial
-//     reduction on fixed-width words for 0 ≤ k < 2^233 and a digit loop
-//     on two-word residues, digit-for-digit equal to the reference.
-//     Any other big.Int scalar is reduced by PartMod and then enters
-//     the same loop;
-//   - the constant-time RecodeCT of the hardened signing path.
+//     RecodeIntInto) for every host τ-adic scalar multiplication:
+//     partial reduction on fixed-width words for 0 ≤ k < 2^233 and a
+//     digit loop on two-word residues, digit-for-digit equal to the
+//     reference. Any other big.Int scalar is reduced by PartMod and
+//     then enters the same loop.
+//
+// The hardened path recodes nothing: it multiplies secret scalars with
+// internal/core's Montgomery ladder and masked-scan comb.
 package koblitz
 
 import (

@@ -173,14 +173,15 @@ func GenerateKeyHardened(rand io.Reader) (*PrivateKey, error) {
 
 // Hardened returns a view of the key on which every secret-scalar
 // operation — Sign, ECDH, SharedSecret, and the batch-engine signing
-// paths — runs through the constant-time evaluators: fixed-length
-// τ-adic recoding, full masked table scans instead of secret-indexed
-// loads, branchless group arithmetic, and fixed-iteration mod-n
-// inversion. Signatures and shared secrets are byte-identical to the
-// fast path (for the same nonce stream); the cost is roughly 2-3× per
-// operation — see the README's "Hardened mode" section for what is
-// and is not covered. Verification is unaffected: it handles only
-// public inputs.
+// and ECDH paths — runs through the constant-time evaluators: a
+// fixed-length Montgomery ladder for ECDH, full masked table scans
+// instead of secret-indexed loads for the signing comb, branchless
+// group arithmetic, and fixed-iteration mod-n inversion. Signatures
+// and shared secrets are byte-identical to the fast path (for the same
+// nonce stream); a one-shot shared secret costs 1.5–1.7× the fast one
+// and a signature ~2.7× — see the README's "Hardened mode" section for
+// what is and is not covered. Verification is unaffected: it handles
+// only public inputs.
 //
 // The receiver is unchanged (keys are immutable); the returned key
 // shares its scalar and public key with the receiver. Calling
