@@ -10,8 +10,8 @@
 #                  pinned to GF233_BACKEND=64 (so the non-CLMUL fallback
 #                  path can never rot on CLMUL machines), a short
 #                  differential-fuzz smoke of the 64-bit and CLMUL field
-#                  backends, the batched inversion and the fast τ-adic
-#                  recoding, and the
+#                  backends, the batched inversion, the mod-n inversion
+#                  and the fast τ-adic recoding, and the
 #                  zero-alloc guards (which must run WITHOUT -race,
 #                  hence the separate pass), and a vet of the whole
 #                  module for arm64
@@ -45,7 +45,8 @@
 #                  traces for different secrets, and the paper's
 #                  variable-time path must NOT), the hardened
 #                  differential and scrub tests, and the dudect timing
-#                  smoke (Welch's t on hardened Sign/ECDH). CT_FULL=1
+#                  smoke (Welch's t on hardened Sign/ECDH and on the
+#                  mod-n inversion). CT_FULL=1
 #                  runs the full-strength dudect pass (30k samples,
 #                  |t| < 4.5) plus the detector self-validation
 #   make chaos   - the seeded fault-injection suite: the internal/fault
@@ -118,6 +119,7 @@ fuzz:
 	$(GO) test ./internal/gf233 -run='^$$' -fuzz=FuzzBatchInvVsSequential -fuzztime=10s
 	$(GO) test ./internal/koblitz -run='^$$' -fuzz=FuzzRecodeVsReference -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzJointScalarMultVsSeparate -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzModNInvVsBig -fuzztime=10s
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzMultiScalarVsJoint -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz=FuzzParseCert -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz=FuzzParsePEM -fuzztime=10s

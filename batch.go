@@ -113,10 +113,10 @@ func WithBatchObserver(f func(batchSize int)) EngineOption {
 // engine). Signatures are byte-identical to the fast path for the
 // same nonce stream; hardened signatures skip the batched
 // Montgomery-trick nonce inversion (whose shared chain is
-// variable-time) in favour of per-request fixed-iteration Fermat
-// ladders, so the per-op cost roughly doubles. Verification — public
-// inputs only — is unaffected and keeps full batch amortisation. See
-// the README's "Hardened mode" section.
+// variable-time) in favour of a per-request constant-time inversion,
+// so at batch 32 a signature costs ~2.6× the fast one. Verification —
+// public inputs only — is unaffected and keeps full batch
+// amortisation. See the README's "Hardened mode" section.
 func WithConstTime() EngineOption {
 	return func(o *engineOptions) { o.cfg.ConstTime = true }
 }

@@ -230,7 +230,7 @@ type PrivateKey struct {
 	// signing, ECDH, key derivation — through the constant-time
 	// evaluators (ct.go, modn_ct.go): no secret-dependent branches or
 	// table addresses. One-shot ECDH then costs 1.5–1.7× the fast path
-	// and one-shot signing ~2.7× (README, "Hardened mode"). Results
+	// and one-shot signing ~2.1× (README, "Hardened mode"). Results
 	// are bit-identical to the fast path. Verification, which handles
 	// only public inputs, is unaffected.
 	ConstTime bool

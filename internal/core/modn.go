@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 
@@ -11,9 +12,9 @@ import (
 // Allocation-free arithmetic modulo the group order n, shared by every
 // front end that works in the exponent group: the one-shot verifier
 // (internal/sign), the batch engine's signing and verification kernels
-// (internal/engine), and anything else that needs s⁻¹ or a·b mod n
-// without per-call garbage. This is the hoisted home of what used to be
-// private engine scratch state.
+// (internal/engine), and the hardened signing assembly (modn_ct.go).
+// There is one inversion for all of them, and it is constant-time:
+// Bernstein–Yang safegcd on fixed words (invModN).
 
 // ModN bundles the scratch state for allocation-free multiplication
 // and inversion modulo n. The zero value is ready to use; buffers
@@ -22,7 +23,7 @@ import (
 // next to the point scratch).
 type ModN struct {
 	q, rem, prod big.Int  // Mul staging (prod must never alias an operand)
-	buf          [32]byte // word→big.Int staging for Inv results
+	buf          [32]byte // big.Int↔word staging
 }
 
 // Mul sets dst = a·b mod n via QuoRem on scratch receivers (a plain
@@ -35,144 +36,52 @@ func (m *ModN) Mul(dst, a, b *big.Int) {
 }
 
 // words4 is a value of the exponent group as four little-endian 64-bit
-// words: n has 232 bits, so every residue (and every x + n
-// intermediate, < 2^233) fits with room to spare. The fixed width is
-// what makes the EEA below run on machine words instead of big.Int
-// operations — roughly an order of magnitude faster per step.
+// words: n has 232 bits, so every residue fits with room to spare.
 type words4 [4]uint64
 
 // orderW4 is n in the fixed-width representation.
-var orderW4 = toWords4(ec.Order)
+var orderW4 = new(ModN).words(ec.Order)
 
-func toWords4(v *big.Int) words4 {
+// nInv64 is n⁻¹ mod 2^64, by Newton's iteration: n is odd, so n·n ≡ 1
+// mod 8 seeds it with 3 correct bits, and each step doubles them.
+var nInv64 = func() uint64 {
+	x := orderW4[0]
+	inv := x
+	for i := 0; i < 5; i++ {
+		inv *= 2 - x*inv
+	}
+	return inv
+}()
+
+// words stages 0 ≤ v < 2^256 into fixed-width words through the
+// byte buffer, which FillBytes fills whatever the value's length.
+func (m *ModN) words(v *big.Int) words4 {
+	v.FillBytes(m.buf[:])
 	var w words4
-	if bits.UintSize == 64 {
-		for i, b := range v.Bits() {
-			w[i] = uint64(b)
-		}
-	} else {
-		for i, b := range v.Bits() {
-			w[i/2] |= uint64(b) << (32 * uint(i%2))
-		}
+	for i := range w {
+		w[i] = binary.BigEndian.Uint64(m.buf[24-8*i:])
 	}
 	return w
 }
 
-// halveMod replaces x with x/2 mod n: a plain shift for even x, else
-// (x + n)/2 — the sum is < 2^233 and so never carries out of the top
-// word.
-func (x *words4) halveMod() {
-	var c uint64
-	if x[0]&1 == 1 {
-		var carry uint64
-		x[0], carry = bits.Add64(x[0], orderW4[0], 0)
-		x[1], carry = bits.Add64(x[1], orderW4[1], carry)
-		x[2], carry = bits.Add64(x[2], orderW4[2], carry)
-		x[3], c = bits.Add64(x[3], orderW4[3], carry)
-	}
-	x[0] = x[0]>>1 | x[1]<<63
-	x[1] = x[1]>>1 | x[2]<<63
-	x[2] = x[2]>>1 | x[3]<<63
-	x[3] = x[3]>>1 | c<<63
-}
-
-// rsh1 shifts x right one bit (plain, not modular).
-func (x *words4) rsh1() {
-	x[0] = x[0]>>1 | x[1]<<63
-	x[1] = x[1]>>1 | x[2]<<63
-	x[2] = x[2]>>1 | x[3]<<63
-	x[3] >>= 1
-}
-
-// sub replaces x with x − y, which callers guarantee is non-negative.
-func (x *words4) sub(y *words4) {
-	var borrow uint64
-	x[0], borrow = bits.Sub64(x[0], y[0], 0)
-	x[1], borrow = bits.Sub64(x[1], y[1], borrow)
-	x[2], borrow = bits.Sub64(x[2], y[2], borrow)
-	x[3], _ = bits.Sub64(x[3], y[3], borrow)
-}
-
-// subMod replaces x with x − y mod n for x, y in [0, n).
-func (x *words4) subMod(y *words4) {
-	var borrow uint64
-	x[0], borrow = bits.Sub64(x[0], y[0], 0)
-	x[1], borrow = bits.Sub64(x[1], y[1], borrow)
-	x[2], borrow = bits.Sub64(x[2], y[2], borrow)
-	x[3], borrow = bits.Sub64(x[3], y[3], borrow)
-	if borrow != 0 {
-		var carry uint64
-		x[0], carry = bits.Add64(x[0], orderW4[0], 0)
-		x[1], carry = bits.Add64(x[1], orderW4[1], carry)
-		x[2], carry = bits.Add64(x[2], orderW4[2], carry)
-		x[3], _ = bits.Add64(x[3], orderW4[3], carry)
-	}
-}
-
-// geq reports x >= y.
-func (x *words4) geq(y *words4) bool {
-	for i := 3; i >= 0; i-- {
-		if x[i] != y[i] {
-			return x[i] > y[i]
-		}
-	}
-	return true
-}
-
-// isOne reports x == 1.
-func (x *words4) isOne() bool {
-	return x[0] == 1 && x[1]|x[2]|x[3] == 0
-}
-
-// setBig stores x into dst through the big-endian staging buffer,
-// reusing dst's storage (SetBytes grows only when capacity is short,
-// so steady-state callers allocate nothing).
+// setBig stores x into dst through the byte buffer, reusing dst's
+// storage (SetBytes grows only when capacity is short, so steady-state
+// callers allocate nothing).
 func (m *ModN) setBig(dst *big.Int, x *words4) {
-	for i := 0; i < 4; i++ {
-		w := x[3-i]
-		for j := 0; j < 8; j++ {
-			m.buf[8*i+j] = byte(w >> (56 - 8*j))
-		}
+	for i, w := range x {
+		binary.BigEndian.PutUint64(m.buf[24-8*i:], w)
 	}
 	dst.SetBytes(m.buf[:])
 }
 
-// Inv sets dst = a⁻¹ mod n for a in [1, n−1] with the binary extended
-// Euclidean algorithm (HAC Alg. 14.61 shape for odd moduli) run on
-// fixed-width machine words: only shifts, adds and subtractions, no
-// heap allocation in steady state, and none of the per-step big.Int
-// overhead that made the previous arbitrary-precision EEA ~8x slower
-// than necessary.
+// Inv sets dst = a⁻¹ mod n for a in [0, n), with 0 mapping to 0. The
+// words routine under it (invModN) is constant-time; the big.Int
+// conversions around it are not, as their cost tracks the values'
+// lengths.
 func (m *ModN) Inv(dst, a *big.Int) {
-	var u, x1, x2 words4
-	u = toWords4(a)
-	v := orderW4
-	x1[0] = 1
-	for {
-		for u[0]&1 == 0 {
-			u.rsh1()
-			x1.halveMod()
-		}
-		if u.isOne() {
-			m.setBig(dst, &x1)
-			return
-		}
-		for v[0]&1 == 0 {
-			v.rsh1()
-			x2.halveMod()
-		}
-		if v.isOne() {
-			m.setBig(dst, &x2)
-			return
-		}
-		if u.geq(&v) {
-			u.sub(&v)
-			x1.subMod(&x2)
-		} else {
-			v.sub(&u)
-			x2.subMod(&x1)
-		}
-	}
+	aw := m.words(a)
+	iw := invModN(&aw)
+	m.setBig(dst, &iw)
 }
 
 // Wipe zeroes the scratch state (including capacity beyond the current
@@ -193,4 +102,193 @@ func ReduceModOrder(v *big.Int) {
 	for v.Cmp(ec.Order) >= 0 {
 		v.Sub(v, ec.Order)
 	}
+}
+
+// Inversion modulo n by Bernstein–Yang safegcd ("Fast constant-time
+// gcd computation and modular inversion", TCHES 2019), laid out as
+// libsecp256k1's doc/safegcd_implementation.md does. f = n and g = a
+// run a fixed number of branch-free divsteps, in batches of 62 on the
+// low limbs; each batch's transition matrix then updates (f, g)
+// exactly and (d, e) modulo n, keeping d·a ≡ f and e·a ≡ g. At the end
+// g = 0 and f = ±gcd = ±1, so ±d is the inverse. No branch or memory
+// index depends on a.
+
+// limbs62 holds v = Σ v[i]·2^(62i): the low three limbs in [0, 2^62),
+// the top one signed. |v| < 2^233 for every f, g, d and e.
+type limbs62 [4]int64
+
+const m62 = 1<<62 - 1
+
+// divstepBatches × 62 divsteps drive g to 0 for every a < n:
+// Bernstein–Yang Thm 11.2 needs ⌊(49d + 57)/17⌋ = 672 steps for
+// d = 232, since f = n and g < n give f² + 4g² ≤ 5·2^(2d).
+const divstepBatches = 11
+
+var (
+	order62    = toLimbs62(&orderW4)
+	orderInv62 = int64(nInv64 & m62) // n⁻¹ mod 2^62
+)
+
+func toLimbs62(w *words4) limbs62 {
+	return limbs62{
+		int64(w[0] & m62),
+		int64((w[0]>>62 | w[1]<<2) & m62),
+		int64((w[1]>>60 | w[2]<<4) & m62),
+		int64(w[2]>>58 | w[3]<<6),
+	}
+}
+
+// words converts v in [0, 2^256) back to words4.
+func (v *limbs62) words() words4 {
+	return words4{
+		uint64(v[0]) | uint64(v[1])<<62,
+		uint64(v[1])>>2 | uint64(v[2])<<60,
+		uint64(v[2])>>4 | uint64(v[3])<<58,
+		uint64(v[3]) >> 6,
+	}
+}
+
+// invModN returns a⁻¹ mod n for a in [0, n), and 0 for a = 0.
+func invModN(a *words4) words4 {
+	f, g := order62, toLimbs62(a)
+	var d, e limbs62
+	e[0] = 1
+	delta := int64(1)
+	for i := 0; i < divstepBatches; i++ {
+		var t trans62
+		delta, t = divsteps62(delta, uint64(f[0]), uint64(g[0]))
+		t.updateDE(&d, &e)
+		t.updateFG(&f, &g)
+	}
+	normalize62(&d, f[3])
+	return d.words()
+}
+
+// trans62 is one batch's transition matrix scaled by 2^62: afterwards
+// f·2^62 = u·f₀ + v·g₀ and g·2^62 = q·f₀ + r·g₀. Each divstep at most
+// doubles |u|+|v| and |q|+|r|, so both stay ≤ 2^62.
+type trans62 struct{ u, v, q, r int64 }
+
+// divsteps62 runs 62 divsteps from δ on the low 62 bits of f and g,
+// which decide them all, and returns the new δ and the batch's matrix.
+// One divstep is (δ, f, g) → (1 − δ, g, (g − f)/2) when δ > 0 and g is
+// odd, else (1 + δ, f, (g + (g mod 2)·f)/2), written as a conditional
+// negation of f and a conditional add into g under masks.
+func divsteps62(delta int64, f, g uint64) (int64, trans62) {
+	u, v, q, r := uint64(1), uint64(0), uint64(0), uint64(1)
+	for i := 0; i < 62; i++ {
+		c1 := uint64(-delta >> 63) // all ones when δ > 0
+		c2 := -(g & 1)             // all ones when g is odd
+		// g += ±f when g is odd: −f when δ > 0, else +f.
+		x, y, z := (f^c1)-c1, (u^c1)-c1, (v^c1)-c1
+		g += x & c2
+		q += y & c2
+		r += z & c2
+		// When δ > 0 and g was odd, f takes the old g and δ → −δ.
+		c1 &= c2
+		delta = (delta ^ int64(c1)) - int64(c1) + 1
+		f += g & c1
+		u += q & c1
+		v += r & c1
+		g >>= 1
+		u <<= 1
+		v <<= 1
+	}
+	return delta, trans62{int64(u), int64(v), int64(q), int64(r)}
+}
+
+// acc128 is a signed 128-bit accumulator in two's complement.
+type acc128 struct{ hi, lo uint64 }
+
+// mulAdd adds the signed product a·b.
+func (c *acc128) mulAdd(a, b int64) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	hi -= uint64(a>>63)&uint64(b) + uint64(b>>63)&uint64(a)
+	var carry uint64
+	c.lo, carry = bits.Add64(c.lo, lo, 0)
+	c.hi += hi + carry
+}
+
+// pop62 returns the low 62 bits and shifts them out, arithmetically.
+func (c *acc128) pop62() int64 {
+	low := int64(c.lo & m62)
+	c.lo = c.lo>>62 | c.hi<<2
+	c.hi = uint64(int64(c.hi) >> 62)
+	return low
+}
+
+// updateFG sets (f, g) = t·(f, g)/2^62; the division is exact.
+func (t *trans62) updateFG(f, g *limbs62) {
+	var cf, cg acc128
+	for i := range f {
+		cf.mulAdd(t.u, f[i])
+		cf.mulAdd(t.v, g[i])
+		cg.mulAdd(t.q, f[i])
+		cg.mulAdd(t.r, g[i])
+		if i == 0 {
+			cf.pop62()
+			cg.pop62()
+		} else {
+			f[i-1], g[i-1] = cf.pop62(), cg.pop62()
+		}
+	}
+	f[3], g[3] = int64(cf.lo), int64(cg.lo)
+}
+
+// updateDE sets (d, e) = (t·(d, e) + n·(md, me))/2^62, with md and me
+// chosen so that the division is exact: mod n that is t·(d, e)/2^62.
+// For d, e in (−2n, n) the results stay in (−2n, n): md and me start
+// with the column of t that makes each negative input effectively
+// non-negative, and the correction subtracts less than 2^62.
+func (t *trans62) updateDE(d, e *limbs62) {
+	sd, se := d[3]>>63, e[3]>>63
+	md := t.u&sd + t.v&se
+	me := t.q&sd + t.r&se
+	var cd, ce acc128
+	cd.mulAdd(t.u, d[0])
+	cd.mulAdd(t.v, e[0])
+	ce.mulAdd(t.q, d[0])
+	ce.mulAdd(t.r, e[0])
+	md -= (orderInv62*int64(cd.lo) + md) & m62
+	me -= (orderInv62*int64(ce.lo) + me) & m62
+	cd.mulAdd(order62[0], md)
+	ce.mulAdd(order62[0], me)
+	cd.pop62()
+	ce.pop62()
+	for i := 1; i < len(d); i++ {
+		cd.mulAdd(t.u, d[i])
+		cd.mulAdd(t.v, e[i])
+		cd.mulAdd(order62[i], md)
+		ce.mulAdd(t.q, d[i])
+		ce.mulAdd(t.r, e[i])
+		ce.mulAdd(order62[i], me)
+		d[i-1], e[i-1] = cd.pop62(), ce.pop62()
+	}
+	d[3], e[3] = int64(cd.lo), int64(ce.lo)
+}
+
+// normalize62 maps d in (−2n, n) to sign·d mod n in [0, n), where sign
+// is the sign of the top limb fTop of f = ±1: add n if d < 0, negate
+// if f < 0, add n again if still negative, all under masks.
+func normalize62(d *limbs62, fTop int64) {
+	addN := func() {
+		mask := d[3] >> 63
+		for i := range d {
+			d[i] += order62[i] & mask
+		}
+	}
+	carry := func() {
+		for i := 0; i < len(d)-1; i++ {
+			d[i+1] += d[i] >> 62
+			d[i] &= m62
+		}
+	}
+	addN()
+	neg := fTop >> 63
+	for i := range d {
+		d[i] = (d[i] ^ neg) - neg
+	}
+	carry()
+	addN()
+	carry()
 }

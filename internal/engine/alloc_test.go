@@ -102,38 +102,42 @@ func TestZeroAllocBatchECDH(t *testing.T) {
 
 // TestZeroAllocBatchSign pins steady-state batched signing at zero
 // allocations per op (result signatures recycled, as a server reusing
-// response buffers would).
+// response buffers would), for a fast and a ConstTime key.
 func TestZeroAllocBatchSign(t *testing.T) {
 	skipIfRace(t)
 	priv, err := core.GenerateKey(rand.New(rand.NewSource(62)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	hard := *priv
+	hard.ConstTime = true
 	rnd := rand.New(rand.NewSource(63))
 	digests := make([][]byte, 32)
 	for i := range digests {
 		d := sha256.Sum256([]byte{byte(i)})
 		digests[i] = d[:]
 	}
-	out := make([]SignResult, len(digests))
-	BatchSign(priv, digests, rnd, out) // allocate result R/S once
-	if avg := testing.AllocsPerRun(20, func() {
-		BatchSign(priv, digests, rnd, out)
-	}); avg != 0 {
-		t.Fatalf("BatchSign allocates %v per batch, want 0", avg)
-	}
-
 	e := New(Config{MaxBatch: 8, Workers: 1})
 	defer e.Close()
-	var sig Signature
-	if err := e.SignInto(&sig, priv, digests[0], rnd); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if err := e.SignInto(&sig, priv, digests[0], rnd); err != nil {
+	for _, k := range []*core.PrivateKey{priv, &hard} {
+		out := make([]SignResult, len(digests))
+		BatchSign(k, digests, rnd, out) // allocate result R/S once
+		if avg := testing.AllocsPerRun(20, func() {
+			BatchSign(k, digests, rnd, out)
+		}); avg != 0 {
+			t.Fatalf("ConstTime %v: BatchSign allocates %v per batch, want 0", k.ConstTime, avg)
+		}
+
+		var sig Signature
+		if err := e.SignInto(&sig, k, digests[0], rnd); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("engine SignInto allocates %v/op, want 0", avg)
+		if avg := testing.AllocsPerRun(50, func() {
+			if err := e.SignInto(&sig, k, digests[0], rnd); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("ConstTime %v: engine SignInto allocates %v/op, want 0", k.ConstTime, avg)
+		}
 	}
 }

@@ -442,9 +442,9 @@ func (s *batchScratch) batchInvert(q []*request, val, dst func(*request) *big.In
 // finishSigns computes every queued signature's s = k⁻¹(e + r·d).
 // Fast requests share ONE modular inversion for all their nonces
 // (batchInvert); hardened requests never enter the Montgomery trick —
-// its shared EEA inversion and the chained products are variable-time
-// in the nonces — and instead assemble per-request on fixed-width
-// words with the Fermat ladder (core.ModN.SignSCT), which produces
+// its chained big.Int products are variable-time in the nonces — and
+// instead assemble per-request on fixed-width words around the
+// constant-time safegcd inverse (core.ModN.SignSCT), which produces
 // bit-identical signatures. Requests that hit the r = 0 / s = 0
 // rejection corners (probability ~2^-232 each) retry sequentially.
 func (s *batchScratch) finishSigns(signQ []*request) {

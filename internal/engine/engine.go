@@ -103,10 +103,12 @@ type Config struct {
 	// signing nonces and ECDH — through the constant-time evaluators,
 	// regardless of the per-key ConstTime flag (a hardened key stays
 	// hardened either way). Signatures are byte-identical to the fast
-	// path; the per-op cost roughly doubles, and hardened signatures
-	// skip the batched Montgomery-trick nonce inversion (whose shared
-	// EEA is variable-time) in favour of per-request Fermat ladders.
-	// Verification, which handles only public inputs, is unaffected.
+	// path. Hardened signatures skip the batched Montgomery-trick nonce
+	// inversion (whose chained big.Int products are variable-time) in
+	// favour of a per-request fixed-width assembly around the
+	// constant-time safegcd inverse; at batch 32 a signature costs ~2.6×
+	// the fast one. Verification, which handles only public inputs, is
+	// unaffected.
 	ConstTime bool
 }
 

@@ -73,10 +73,11 @@ func Sign(priv *core.PrivateKey, digest []byte, rand io.Reader) (*Signature, err
 // point comes from the constant-time comb (core.GenerateKeyCT — same
 // rejection sampler, same bytes consumed from rand, so the nonce is
 // identical for a given stream) and s = k⁻¹(e + r·d) assembles on
-// fixed-width mod-n words with a fixed-iteration Fermat inversion
-// (core.ModN.SignSCT) instead of big.Int.ModInverse. Both arms are
-// mathematically identical, so hardened signatures are byte-identical
-// to fast ones for the same rand stream.
+// fixed-width mod-n words around the constant-time safegcd inverse
+// (core.ModN.SignSCT). Both arms are mathematically identical, so
+// hardened signatures are byte-identical to fast ones for the same
+// rand stream. The fast arm keeps big.Int.ModInverse: one-shot, it
+// measured faster than core.ModN.Inv with its big.Int conversions.
 func signCore(priv *core.PrivateKey, digest []byte, rand io.Reader) (*Signature, ec.Affine, error) {
 	if priv == nil || priv.D == nil || priv.D.Sign() == 0 {
 		return nil, ec.Infinity, ErrInvalidKey
@@ -226,9 +227,9 @@ func CheckVerifyInputs(pub ec.Affine, sig *Signature) bool {
 //
 // The verification equation R' = u1·G + u2·Q runs as a single
 // Shamir/Straus-interleaved τ-adic ladder (core.JointScalarMult): one
-// shared Frobenius loop, one final field inversion, and the binary-EEA
-// mod-n inverse for s⁻¹ — against the seed's two disjoint
-// multiplications, three extra inversions and per-call
+// shared Frobenius loop, one final field inversion, and the safegcd
+// mod-n inverse for s⁻¹ (core.ModN.Inv) — against the seed's two
+// disjoint multiplications, three extra inversions and per-call
 // big.Int.ModInverse (kept below as VerifySeparate). The call is
 // allocation-free in steady state.
 func Verify(pub ec.Affine, digest []byte, sig *Signature) bool {

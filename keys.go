@@ -179,7 +179,7 @@ func GenerateKeyHardened(rand io.Reader) (*PrivateKey, error) {
 // group arithmetic, and fixed-iteration mod-n inversion. Signatures
 // and shared secrets are byte-identical to the fast path (for the same
 // nonce stream); a one-shot shared secret costs 1.5–1.7× the fast one
-// and a signature ~2.7× — see the README's "Hardened mode" section for
+// and a signature ~2.1× — see the README's "Hardened mode" section for
 // what is and is not covered. Verification is unaffected: it handles
 // only public inputs.
 //
