@@ -54,8 +54,10 @@
 #                  (five scripted fault shapes under mixed traffic,
 #                  drain-under-stall, the stalled-writer inflight-slot
 #                  regression, max-conns handshake rejects, injected
-#                  accept errors) and the frame-level deadline tests,
-#                  all with -race and a goroutine-leak check
+#                  accept errors), the frame-level deadline tests and
+#                  the queued-writer tests (many writers, a failed
+#                  flush, Close), all with -race and a goroutine-leak
+#                  check
 #   make load    - a quick eccload sweep of the batch engine
 #   make serve-smoke - end-to-end check of the serving stack: boots
 #                  eccserve on a loopback port, drives it with
@@ -128,7 +130,7 @@ fuzz:
 # Zero-alloc guards: AllocsPerRun is meaningless under -race (the
 # detector allocates), so these run in their own non-race pass.
 alloc:
-	$(GO) test ./internal/core ./internal/engine ./internal/gf233 ./internal/koblitz -run 'TestZeroAlloc' -count=1
+	$(GO) test ./internal/core ./internal/engine ./internal/gf233 ./internal/koblitz ./cmd/eccserve -run 'TestZeroAlloc' -count=1
 
 # Public-surface guards: the exported-API golden test (regenerate with
 # -update-api after an intentional change), interface conformance, the
@@ -177,7 +179,7 @@ chaos:
 	    -run 'TestChaos|TestDrainTimeout|TestStalledWriter|TestMaxConns'
 	$(GO) test -race -count=1 ./cmd/eccload -run 'TestRconn'
 	$(GO) test -race -count=1 ./internal/frame \
-	    -run 'TestWriteStall|TestRoundtripTimeout|TestReadIdleTimeout'
+	    -run 'TestWriteStall|TestRoundtripTimeout|TestReadIdleTimeout|TestQueue'
 
 load:
 	$(GO) run ./cmd/eccload -op ecdh -gs 1,8 -batches 1,32 -dur 2s

@@ -78,15 +78,16 @@ func WithQueueDepth(n int) EngineOption {
 	return func(o *engineOptions) { o.cfg.Queue = clampOption(n, engine.QueueLimit) }
 }
 
-// WithBatchWindow bounds how long a worker holds a non-full batch
-// open waiting for more requests: a batch closes when it reaches the
-// MaxBatch cap OR when the window expires, whichever comes first. The
-// default (0) keeps the greedy-drain behaviour — whatever is already
-// queued runs immediately, so light load sees batch-of-one latency. A
-// serving front end that wants real batches at moderate arrival rates
-// sets a small window (hundreds of microseconds) and accepts that the
-// idle-load p99 is bounded by roughly the window instead of a single
-// op; see cmd/eccserve.
+// WithBatchWindow sets a fixed deadline on a non-full batch: a worker
+// holds the batch open until it reaches the MaxBatch cap OR the
+// window, started when the batch opens, expires. The default (0) keeps
+// the greedy drain — whatever is already queued runs immediately, so
+// light load sees batch-of-one latency. A serving front end that wants
+// real batches at moderate arrival rates sets a small window (hundreds
+// of microseconds), and then every batch that does not fill waits the
+// whole window. On an idle process that is longer than asked: Go
+// rounds timer waits below a millisecond up to about one, so a 200 µs
+// window costs a lone request ~1 ms; see cmd/eccserve.
 func WithBatchWindow(d time.Duration) EngineOption {
 	return func(o *engineOptions) {
 		if d < 0 {
@@ -97,8 +98,8 @@ func WithBatchWindow(d time.Duration) EngineOption {
 }
 
 // WithBatchObserver registers f to observe every processed batch with
-// its size, after the kernel ran and before the batch's submitters
-// unblock. f is called from worker goroutines concurrently and must
+// its size, after the kernel ran and before the batch's requests
+// complete. f is called from worker goroutines concurrently and must
 // be fast and safe for concurrent use (atomic counters, histogram
 // buckets) — it is the hook cmd/eccserve's batch-size histogram and
 // batches-total counters hang off.
@@ -179,6 +180,17 @@ func (b *BatchEngine) SharedSecretKey(priv *PrivateKey, peer *PublicKey) ([]byte
 	return b.e.SharedSecret(priv.key, peer.point)
 }
 
+// SharedSecretKeyAsync is SharedSecretKey in callback form: it queues
+// the request and returns at once. done runs on the engine's worker
+// goroutine right after the request's batch, once per accepted
+// submission, and must not block: the worker serves no other request
+// until it returns. The secret it receives is valid only during the
+// call; copy what must outlive it. A non-nil return (ErrEngineClosed)
+// means done never runs.
+func (b *BatchEngine) SharedSecretKeyAsync(priv *PrivateKey, peer *PublicKey, done func(secret []byte, err error)) error {
+	return b.e.SharedSecretAsync(priv.key, peer.point, done)
+}
+
 // SharedSecretAppend is SharedSecret appending into dst —
 // allocation-free in steady state when dst has capacity.
 func (b *BatchEngine) SharedSecretAppend(dst []byte, priv *PrivateKey, peer Point) ([]byte, error) {
@@ -216,6 +228,13 @@ func (b *BatchEngine) SignKey(priv *PrivateKey, digest []byte, rand io.Reader) (
 	return sig.MarshalASN1()
 }
 
+// SignAsync is Sign in callback form, with SharedSecretKeyAsync's
+// contract: the signature done receives is valid only during the call,
+// and digest must stay unchanged until done runs.
+func (b *BatchEngine) SignAsync(priv *PrivateKey, digest []byte, rand io.Reader, done func(sig *Signature, err error)) error {
+	return b.e.SignAsync(priv.key, digest, nonceSource(priv, digest, rand), done)
+}
+
 // SignInto is Sign storing into sig, reusing sig.R/S when non-nil.
 func (b *BatchEngine) SignInto(sig *Signature, priv *PrivateKey, digest []byte, rand io.Reader) error {
 	return b.e.SignInto(sig, priv.key, digest, nonceSource(priv, digest, rand))
@@ -241,6 +260,13 @@ func (b *BatchEngine) VerifyKey(pub *PublicKey, digest []byte, sig *Signature) (
 	return b.e.Verify(pub.point, pub.verifyTable(), digest, sig)
 }
 
+// VerifyKeyAsync is VerifyKey in callback form, with
+// SharedSecretKeyAsync's contract: digest and sig must stay unchanged
+// until done runs.
+func (b *BatchEngine) VerifyKeyAsync(pub *PublicKey, digest []byte, sig *Signature, done func(ok bool, err error)) error {
+	return b.e.VerifyAsync(pub.point, pub.verifyTable(), digest, sig, HintNone, done)
+}
+
 // VerifyRecoverable is Verify with a nonce-point recovery hint (from
 // SignRecoverable or RecoverHint): hinted verifications that land in
 // the same batch settle through ONE randomised linear-combination
@@ -258,6 +284,12 @@ func (b *BatchEngine) VerifyRecoverable(pub Point, digest []byte, sig *Signature
 // using its cached verification table when Precompute built one.
 func (b *BatchEngine) VerifyKeyRecoverable(pub *PublicKey, digest []byte, sig *Signature, hint byte) (bool, error) {
 	return b.e.VerifyRecoverable(pub.point, pub.verifyTable(), digest, sig, hint)
+}
+
+// VerifyKeyRecoverableAsync is VerifyKeyRecoverable in callback form,
+// with VerifyKeyAsync's contract.
+func (b *BatchEngine) VerifyKeyRecoverableAsync(pub *PublicKey, digest []byte, sig *Signature, hint byte, done func(ok bool, err error)) error {
+	return b.e.VerifyAsync(pub.point, pub.verifyTable(), digest, sig, hint, done)
 }
 
 // BatchScalarMult computes ks[i]·points[i] for all i with one batched

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro"
+	"repro/internal/frame"
 )
 
 // Sizing and admission constants of the key cache.
@@ -151,40 +152,57 @@ func (c *keyCache) tablePushFront(e *keyEntry) {
 	c.tables.tnext = e
 }
 
-// keyCacheKey renders the verification-key namespace name.
-func keyCacheKey(raw []byte) string { return "k" + string(raw) }
+// appendKeyName appends the verification-key namespace name of raw.
+func appendKeyName(dst, raw []byte) []byte { return append(append(dst, 'k'), raw...) }
 
-// certCacheKey renders the certificate namespace name. The identity is
-// length-prefixed so (identity, cert) pairs cannot collide by
+// appendCertName appends the certificate namespace name. The identity
+// is length-prefixed so (identity, cert) pairs cannot collide by
 // concatenation.
+func appendCertName(dst, cert, identity []byte) []byte {
+	dst = append(dst, 'c', byte(len(identity)))
+	dst = append(dst, identity...)
+	return append(dst, cert...)
+}
+
+// keyCacheKey renders the verification-key namespace name.
+func keyCacheKey(raw []byte) string { return string(appendKeyName(nil, raw)) }
+
+// certCacheKey renders the certificate namespace name.
 func certCacheKey(cert, identity []byte) string {
-	b := make([]byte, 0, 2+len(identity)+len(cert))
-	b = append(b, 'c', byte(len(identity)))
-	b = append(b, identity...)
-	b = append(b, cert...)
-	return string(b)
+	return string(appendCertName(nil, cert, identity))
 }
 
 // getKey returns the verification key for raw compressed bytes,
-// parsing it at most once per residency.
+// parsing it at most once per residency. The name is built on the
+// stack, so a hit allocates nothing.
 func (c *keyCache) getKey(raw []byte) (*repro.PublicKey, error) {
-	return c.get(keyCacheKey(raw), func() (*repro.PublicKey, error) {
+	var buf [1 + frame.KeySize]byte
+	return c.lookup(appendKeyName(buf[:0], raw), func() (*repro.PublicKey, error) {
 		return repro.NewPublicKey(raw)
 	})
 }
 
-// get returns the key resident under name — with its table, when it
-// holds or has just earned one — building it with build at most once
-// per residency. Errors are not cached: a failed build is removed so
-// the map never pins garbage, and the work repeats on the next
-// request.
-func (c *keyCache) get(name string, build func() (*repro.PublicKey, error)) (*repro.PublicKey, error) {
+// getCert returns the key extracted from the implicit certificate cert
+// for identity, building it with build at most once per residency. A
+// hit allocates nothing, as in getKey.
+func (c *keyCache) getCert(cert, identity []byte, build func() (*repro.PublicKey, error)) (*repro.PublicKey, error) {
+	var buf [2 + frame.MaxIdentity + frame.CertSize]byte
+	return c.lookup(appendCertName(buf[:0], cert, identity), build)
+}
+
+// lookup returns the key resident under name — with its table, when
+// it holds or has just earned one — building it with build at most
+// once per residency. name is only read: the string the entry keeps
+// is allocated on a miss. Errors are not cached: a failed build is
+// removed so the map never pins garbage, and the work repeats on the
+// next request.
+func (c *keyCache) lookup(name []byte, build func() (*repro.PublicKey, error)) (*repro.PublicKey, error) {
 	c.mu.Lock()
 	if c.lookups++; c.lookups == c.period {
 		c.lookups = 0
 		c.epoch++
 	}
-	if e, ok := c.entries[name]; ok {
+	if e, ok := c.entries[string(name)]; ok {
 		c.unlink(e)
 		c.pushFront(e)
 		c.decayLocked(e)
@@ -216,8 +234,8 @@ func (c *keyCache) get(name string, build func() (*repro.PublicKey, error)) (*re
 		return e.pub, nil
 	}
 	c.m.cacheMisses.Add(1)
-	e := &keyEntry{key: name, ready: make(chan struct{}), uses: 1, seen: c.epoch}
-	c.entries[name] = e
+	e := &keyEntry{key: string(name), ready: make(chan struct{}), uses: 1, seen: c.epoch}
+	c.entries[e.key] = e
 	c.pushFront(e)
 	c.mu.Unlock()
 
@@ -232,7 +250,7 @@ func (c *keyCache) get(name string, build func() (*repro.PublicKey, error)) (*re
 	if err != nil {
 		// Failed builds never become resident — a stream of malformed
 		// keys must not evict anyone.
-		if c.entries[name] == e {
+		if c.entries[e.key] == e {
 			c.dropLocked(e)
 		}
 		c.mu.Unlock()

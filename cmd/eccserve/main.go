@@ -7,10 +7,14 @@
 //
 // Operational behaviour:
 //
-//   - Adaptive batching: a batch closes when it reaches -batch
-//     requests or when the -window deadline expires, whichever is
-//     first, so p99 stays bounded at low load while throughput climbs
-//     at high load.
+//   - Batching: a batch closes when it reaches -batch requests or
+//     when the -window deadline, a fixed one started when the batch
+//     opens, expires. A batch that does not fill waits the whole
+//     window, and an idle process waits about a millisecond for the
+//     default 200µs: Go rounds timer waits below a millisecond up to
+//     about one. The shard answers each batch from its completion,
+//     and each connection's writer sends the answers that have
+//     accumulated in one write.
 //   - Load shedding: at most -maxinflight requests run at once;
 //     beyond that clients get an explicit TOverload frame instead of
 //     unbounded queueing.
@@ -24,8 +28,8 @@
 //     frames with TDraining, waits up to -drain for in-flight work,
 //     then exits 0.
 //   - Connection robustness: -read-idle closes connections whose peer
-//     goes silent, -write-timeout bounds each response write so a
-//     stalled reader cannot wedge its connection's writers, and
+//     goes silent, -write-timeout bounds each flush of queued
+//     responses so a stalled reader cannot wedge its connection, and
 //     -max-conns rejects connections beyond the cap with a TOverload
 //     handshake frame (distinct from per-request shedding). Timeouts
 //     and faults close only the offending connection, never the
@@ -64,13 +68,13 @@ func main() {
 		metrics  = flag.String("metrics", "", "listen address for /metrics, /debug/vars and /debug/pprof (empty = disabled)")
 		shards   = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
 		batch    = flag.Int("batch", 32, "max requests per engine batch")
-		window   = flag.Duration("window", 200*time.Microsecond, "batch window: a partial batch closes after this deadline")
+		window   = flag.Duration("window", 200*time.Microsecond, "batch window: a fixed deadline after which a partial batch closes (an idle process waits ~1ms for anything under that)")
 		maxInfl  = flag.Int("maxinflight", 0, "max concurrent requests before shedding (0 = 4*shards*batch)")
 		cacheCap = flag.Int("keycache", 1024, fmt.Sprintf("resident w=10 verification tables; the key cache holds %d× as many parsed keys", keyTierRatio))
 		keyFile  = flag.String("key", "", "hex-encoded private key file (empty = ephemeral key)")
 		drain    = flag.Duration("drain", 5*time.Second, "max time to wait for in-flight requests on shutdown")
 		readIdle = flag.Duration("read-idle", 2*time.Minute, "close a connection whose peer sends nothing for this long (0 = never)")
-		writeTO  = flag.Duration("write-timeout", 10*time.Second, "per-response write deadline; a peer that stops reading is disconnected (0 = never)")
+		writeTO  = flag.Duration("write-timeout", 10*time.Second, "write deadline per flush of queued responses; a peer that stops reading is disconnected (0 = never)")
 		maxConns = flag.Int("max-conns", 0, "max accepted connections; beyond the cap new connections get a TOverload handshake reject (0 = unlimited)")
 		faultPct = flag.Float64("fault-rate", 0, "chaos mode: per-call probability of injecting a connection fault (0 = off)")
 		faultSd  = flag.Int64("fault-seed", 1, "chaos mode: PRNG seed, same seed replays the same fault sequence")

@@ -43,6 +43,10 @@ type metrics struct {
 	batchOps  atomic.Int64
 	batchHist [len(batchBuckets) + 1]atomic.Int64
 
+	// Response writes: frames flushed, and the writes that carried them.
+	respFrames atomic.Int64
+	respWrites atomic.Int64
+
 	// Key tier: lookups, key parses/extractions, LRU evictions.
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
@@ -78,6 +82,12 @@ func (m *metrics) observeBatch(n int) {
 		}
 	}
 	m.batchHist[len(batchBuckets)].Add(1)
+}
+
+// observeFlush is the connection writers' flush hook.
+func (m *metrics) observeFlush(frames int) {
+	m.respWrites.Add(1)
+	m.respFrames.Add(int64(frames))
 }
 
 // writeProm dumps the Prometheus text exposition format.
@@ -118,6 +128,8 @@ func (m *metrics) writeProm(w io.Writer) {
 	fmt.Fprintf(w, "eccserve_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
 	fmt.Fprintf(w, "eccserve_batch_size_sum %d\n", m.batchOps.Load())
 	fmt.Fprintf(w, "eccserve_batch_size_count %d\n", m.batches.Load())
+	counter("eccserve_response_frames_total", "Response frames flushed to clients.", m.respFrames.Load())
+	counter("eccserve_response_writes_total", "Socket writes that carried response frames; frames per write is the coalescing.", m.respWrites.Load())
 	counter("eccserve_keycache_hits_total", "Key-tier lookups that found the key resident.", m.cacheHits.Load())
 	counter("eccserve_keycache_misses_total", "Key-tier lookups that had to parse or extract the key.", m.cacheMisses.Load())
 	counter("eccserve_keycache_builds_total", "Keys parsed or extracted into the key tier (singleflight-deduplicated).", m.cacheBuilds.Load())
@@ -155,6 +167,8 @@ func (m *metrics) snapshot() map[string]int64 {
 		"faults_injected":          m.faultsInjected.Load(),
 		"batches":                  m.batches.Load(),
 		"batch_ops":                m.batchOps.Load(),
+		"response_frames":          m.respFrames.Load(),
+		"response_writes":          m.respWrites.Load(),
 		"keycache_hits":            m.cacheHits.Load(),
 		"keycache_misses":          m.cacheMisses.Load(),
 		"keycache_builds":          m.cacheBuilds.Load(),

@@ -21,13 +21,13 @@ import (
 type serverConfig struct {
 	Shards       int           // engine shards; 0 = GOMAXPROCS
 	MaxBatch     int           // per-shard batch ceiling
-	Window       time.Duration // adaptive batch window (0 = greedy only)
+	Window       time.Duration // fixed batch deadline (0 = greedy only)
 	MaxInflight  int           // concurrent requests before shedding
 	MaxConns     int           // accepted-connection cap; 0 = unlimited
 	KeyCacheCap  int           // resident w=10 tables; the key tier holds keyTierRatio× as many keys
 	DrainTimeout time.Duration // bound on waiting for in-flight work
 	ReadIdle     time.Duration // per-connection read idle timeout; 0 = none
-	WriteTimeout time.Duration // per-response write deadline; 0 = none
+	WriteTimeout time.Duration // per-flush write deadline; 0 = none
 	ConstTime    bool          // hardened signing/ECDH (constant-time evaluators)
 	Quiet        bool          // suppress per-connection logging
 }
@@ -64,11 +64,19 @@ func (c *serverConfig) fill() {
 
 // server multiplexes framed clients onto per-core batch-engine shards.
 //
-// Concurrency shape: one reader goroutine per connection, one
-// goroutine per in-flight request (bounded by the inflight semaphore),
-// one single-worker BatchEngine per shard. A connection is pinned to a
-// shard for its lifetime so one client's burst coalesces into that
-// shard's batches instead of scattering across all of them.
+// Concurrency shape: per connection, one reader goroutine and one
+// writer goroutine (frame.Conn's queued writer); one short-lived
+// goroutine per request, which decodes it, resolves its key (a cache
+// miss may wait on a build) and submits it; one single-worker
+// BatchEngine per shard. A connection is pinned to a shard for its
+// lifetime so one client's burst coalesces into that shard's batches
+// instead of scattering across all of them. The shard worker answers
+// a batch from its completion callbacks, queueing every answer on its
+// connection without blocking, so each connection's writer sends all
+// the answers one batch produced for it in one write. A request holds
+// its inflight slot until its answer is flushed (or has failed), so a
+// client that stops reading holds its own slots — queued answers stay
+// bounded by -maxinflight — and never blocks a shard.
 type server struct {
 	cfg  serverConfig
 	m    *metrics
@@ -99,6 +107,12 @@ type server struct {
 	connMu sync.Mutex
 	conns  map[*frame.Conn]struct{}
 
+	// sent is every request's response completion: once the frame is
+	// flushed, or has failed, it releases the request's inflight slot
+	// and drain registration. Bound once, so queueing allocates nothing
+	// for it.
+	sent func(error)
+
 	stopOnce sync.Once
 	stopped  chan struct{} // closed when shutdown completes
 }
@@ -116,6 +130,11 @@ func newServer(priv *repro.PrivateKey, cfg serverConfig) *server {
 		inflight: make(chan struct{}, cfg.MaxInflight),
 		conns:    make(map[*frame.Conn]struct{}),
 		stopped:  make(chan struct{}),
+	}
+	s.sent = func(error) {
+		<-s.inflight
+		s.m.inflight.Add(-1)
+		s.reqWG.Done()
 	}
 	repro.Warm()
 	for i := 0; i < cfg.Shards; i++ {
@@ -232,7 +251,8 @@ func retryableAccept(err error) bool {
 
 // handleConn owns the read side of one connection and fans requests
 // out to per-request goroutines. The connection is pinned to one shard
-// for its lifetime.
+// for its lifetime, and every response leaves through its queued
+// writer.
 func (s *server) handleConn(fc *frame.Conn) {
 	defer s.connWG.Done()
 	defer func() {
@@ -242,6 +262,17 @@ func (s *server) handleConn(fc *frame.Conn) {
 		s.m.conns.Add(-1)
 		fc.Close()
 	}()
+	fc.StartWriter(s.m.observeFlush, func(err error) { s.noteWriteErr(fc, err) })
+	// A shed or draining answer holds no inflight slot, so the reader
+	// waits for its flush before reading on: a client that sends
+	// without reading can make the server buffer at most -maxinflight
+	// answers and one refusal.
+	refused := make(chan struct{}, 1)
+	refusedSent := func(error) { refused <- struct{}{} }
+	refuse := func(id uint64, typ byte) {
+		fc.Queue(refusedSent, id, typ)
+		<-refused
+	}
 	shard := s.shards[s.connSeq.Add(1)%uint64(len(s.shards))]
 	for {
 		f, err := fc.Read()
@@ -255,7 +286,7 @@ func (s *server) handleConn(fc *frame.Conn) {
 			// At capacity: shed rather than queue unboundedly. The
 			// client sees an explicit overload frame it can back off on.
 			s.m.shed.Add(1)
-			s.write(fc, f.ID, frame.TOverload)
+			refuse(f.ID, frame.TOverload)
 			continue
 		}
 		s.reqMu.RLock()
@@ -263,7 +294,7 @@ func (s *server) handleConn(fc *frame.Conn) {
 			s.reqMu.RUnlock()
 			<-s.inflight
 			s.m.drained.Add(1)
-			s.write(fc, f.ID, frame.TDraining)
+			refuse(f.ID, frame.TDraining)
 			continue
 		}
 		s.reqWG.Add(1)
@@ -304,26 +335,21 @@ func (s *server) noteReadErr(fc *frame.Conn, err error) {
 	}
 }
 
-// write sends a response frame and classifies any failure: a deadline
-// expiry means a stalled peer held the write past WriteTimeout, any
-// other fresh error is a transport fault, and either way the stream
-// can no longer be framed so the connection is closed — which also
-// unblocks its reader. ErrWriteBroken repeats a failure that was
-// already classified when the stream first broke, and ErrClosed means
-// the close already happened; neither counts again. Requests already
-// submitted to a shard complete and simply fail their writes here: a
-// stalled client costs its own connection, never the shard.
-func (s *server) write(fc *frame.Conn, id uint64, typ byte, segs ...[]byte) {
-	err := fc.Write(id, typ, segs...)
-	if err == nil {
-		return
-	}
+// noteWriteErr classifies the error that broke a connection's response
+// stream, which its writer reports once: a deadline expiry means a
+// stalled peer held a flush past WriteTimeout, ErrClosed means our own
+// close came first, and anything else is a transport fault. Either way
+// the stream can no longer be framed, so the connection is closed —
+// which also unblocks its reader. Requests already submitted to a
+// shard complete, and their answers fail to queue: a stalled client
+// costs its own connection, never the shard.
+func (s *server) noteWriteErr(fc *frame.Conn, err error) {
 	switch {
-	case errors.Is(err, frame.ErrWriteBroken) || errors.Is(err, net.ErrClosed):
+	case errors.Is(err, net.ErrClosed):
 	case isTimeout(err):
 		s.m.connTimeouts.Add(1)
 		if !s.cfg.Quiet {
-			log.Printf("eccserve: %v: write timeout (request %d)", fc.RemoteAddr(), id)
+			log.Printf("eccserve: %v: write timeout", fc.RemoteAddr())
 		}
 	default:
 		s.m.connErrors.Add(1)
@@ -334,221 +360,241 @@ func (s *server) write(fc *frame.Conn, id uint64, typ byte, segs ...[]byte) {
 	fc.Close()
 }
 
-// process executes one request against the connection's shard and
-// writes the response frame.
-func (s *server) process(fc *frame.Conn, shard *repro.BatchEngine, id uint64, typ byte, payload []byte) {
-	defer func() {
-		<-s.inflight
-		s.m.inflight.Add(-1)
-		s.reqWG.Done()
-	}()
-	switch typ {
-	case frame.TPing:
-		s.m.reqPing.Add(1)
-		s.write(fc, id, frame.TOK, s.pub)
+// Verification answers, shared by every response that carries one.
+var (
+	valid   = []byte{1}
+	invalid = []byte{0}
+)
 
-	case frame.TSign:
-		s.m.reqSign.Add(1)
-		if len(payload) == 0 || len(payload) > frame.MaxDigest {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		sig, err := shard.Sign(s.priv, payload, rand.Reader)
-		if err != nil {
-			s.writeErr(fc, id, err)
-			return
-		}
-		s.write(fc, id, frame.TOK, sig.Bytes())
+// answer queues a request's response frame. Its flush completion,
+// s.sent, releases the request's inflight slot and drain registration.
+func (s *server) answer(fc *frame.Conn, id uint64, typ byte, segs ...[]byte) {
+	fc.Queue(s.sent, id, typ, segs...)
+}
 
-	case frame.TVerify:
-		s.m.reqVerify.Add(1)
-		key, rawSig, digest, ok := frame.SplitVerify(payload)
-		if !ok {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		pub, err := s.cache.getKey(key)
-		if err != nil {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		sig, err := repro.ParseSignature(rawSig)
-		if err != nil {
-			// Structurally framed but cryptographically malformed: that
-			// is a verification answer (invalid), not a protocol error.
-			s.m.verifyFail.Add(1)
-			s.write(fc, id, frame.TOK, []byte{0})
-			return
-		}
-		valid, err := shard.VerifyKey(pub, digest, sig)
-		if err != nil {
-			s.writeErr(fc, id, err)
-			return
-		}
-		if valid {
-			s.write(fc, id, frame.TOK, []byte{1})
-		} else {
-			s.m.verifyFail.Add(1)
-			s.write(fc, id, frame.TOK, []byte{0})
-		}
+func (s *server) badRequest(fc *frame.Conn, id uint64) {
+	s.m.badRequest.Add(1)
+	s.answer(fc, id, frame.TBadRequest)
+}
 
-	case frame.TVerifyR:
-		s.m.reqVerifyR.Add(1)
-		hint, key, rawSig, digest, ok := frame.SplitVerifyR(payload)
-		if !ok {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		pub, err := s.cache.getKey(key)
-		if err != nil {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		sig, err := repro.ParseSignature(rawSig)
-		if err != nil {
-			s.m.verifyFail.Add(1)
-			s.write(fc, id, frame.TOK, []byte{0})
-			return
-		}
-		valid, err := shard.VerifyKeyRecoverable(pub, digest, sig, hint)
-		if err != nil {
-			s.writeErr(fc, id, err)
-			return
-		}
-		if valid {
-			s.write(fc, id, frame.TOK, []byte{1})
-		} else {
-			s.m.verifyFail.Add(1)
-			s.write(fc, id, frame.TOK, []byte{0})
-		}
-
-	case frame.TECDH:
-		s.m.reqECDH.Add(1)
-		if len(payload) != frame.KeySize {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		peer, err := repro.NewPublicKey(payload)
-		if err != nil {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		secret, err := shard.SharedSecretKey(s.priv, peer)
-		if err != nil {
-			s.writeErr(fc, id, err)
-			return
-		}
-		s.write(fc, id, frame.TOK, secret)
-
-	case frame.TEnroll:
-		s.m.reqEnroll.Add(1)
-		reqPoint, identity, ok := frame.SplitEnroll(payload)
-		if !ok {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		cert, contrib, err := s.ca.Issue(reqPoint, identity, rand.Reader)
-		if err != nil {
-			// Issue fails only on invalid input (request point or
-			// identity) or an RNG fault; the former dominates and the
-			// latter still is not an engine-lifecycle condition.
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		// Extract the certified key through the shard kernel and warm
-		// the key tier under both namespaces: TCertVerify hits the
-		// cert-namespace name, and a client presenting the extracted
-		// key directly to TVerify hits the key-namespace alias. The
-		// key earns a table only by use.
-		pub, err := shard.ExtractPublicKey(cert, s.ca.PublicKey())
-		if err != nil {
-			s.writeErr(fc, id, err)
-			return
-		}
-		s.m.extractions.Add(1)
-		certBytes := cert.Bytes()
-		s.cache.put(pub, certCacheKey(certBytes, identity), keyCacheKey(pub.BytesCompressed()))
-		s.m.enrollments.Add(1)
-		s.write(fc, id, frame.TOK, certBytes, contrib)
-
-	case frame.TCertVerify:
-		s.m.reqCertVerify.Add(1)
-		certBytes, identity, rawSig, digest, ok := frame.SplitCertVerify(payload)
-		if !ok {
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		pub, err := s.cache.get(certCacheKey(certBytes, identity), func() (*repro.PublicKey, error) {
-			cert, err := repro.ParseCert(certBytes, identity)
-			if err != nil {
-				return nil, err
-			}
-			pub, err := shard.ExtractPublicKey(cert, s.ca.PublicKey())
-			if err != nil {
-				return nil, err
-			}
-			s.m.extractions.Add(1)
-			return pub, nil
-		})
-		if err != nil {
-			if errors.Is(err, repro.ErrEngineClosed) {
-				s.writeErr(fc, id, err)
-				return
-			}
-			// Malformed or forged certificate: a protocol-level reject,
-			// same contract as an unparseable key in TVerify.
-			s.m.badRequest.Add(1)
-			s.write(fc, id, frame.TBadRequest)
-			return
-		}
-		sig, err := repro.ParseSignature(rawSig)
-		if err != nil {
-			s.m.verifyFail.Add(1)
-			s.write(fc, id, frame.TOK, []byte{0})
-			return
-		}
-		valid, err := shard.VerifyKey(pub, digest, sig)
-		if err != nil {
-			s.writeErr(fc, id, err)
-			return
-		}
-		if valid {
-			s.write(fc, id, frame.TOK, []byte{1})
-		} else {
-			s.m.verifyFail.Add(1)
-			s.write(fc, id, frame.TOK, []byte{0})
-		}
-
+// verdict answers a verification.
+func (s *server) verdict(fc *frame.Conn, id uint64, ok bool, err error) {
+	switch {
+	case err != nil:
+		s.answerErr(fc, id, err)
+	case ok:
+		s.answer(fc, id, frame.TOK, valid)
 	default:
-		s.m.badRequest.Add(1)
-		s.write(fc, id, frame.TBadRequest)
+		s.m.verifyFail.Add(1)
+		s.answer(fc, id, frame.TOK, invalid)
 	}
 }
 
-// writeErr maps an engine failure to a response frame. A closed engine
-// means shutdown won the race with this request — tell the client to
-// reconnect elsewhere rather than reporting a server fault.
-func (s *server) writeErr(fc *frame.Conn, id uint64, err error) {
+// process decodes one request, resolves its key (which may wait on a
+// build) and submits it to the connection's shard. The engine callback
+// answers from the shard worker, right after the batch, so a batch's
+// answers reach each connection's writer together; process itself
+// answers only what never reaches the engine. Every path queues
+// exactly one response. Each operation has its own method, which keeps
+// every frame on this short-lived goroutine's path small: the key
+// lookup then runs without growing the goroutine's starting stack.
+func (s *server) process(fc *frame.Conn, shard *repro.BatchEngine, id uint64, typ byte, payload []byte) {
+	switch typ {
+	case frame.TPing:
+		s.m.reqPing.Add(1)
+		s.answer(fc, id, frame.TOK, s.pub)
+	case frame.TSign:
+		s.m.reqSign.Add(1)
+		s.sign(fc, shard, id, payload)
+	case frame.TVerify:
+		s.m.reqVerify.Add(1)
+		s.verify(fc, shard, id, payload)
+	case frame.TVerifyR:
+		s.m.reqVerifyR.Add(1)
+		s.verifyR(fc, shard, id, payload)
+	case frame.TECDH:
+		s.m.reqECDH.Add(1)
+		s.ecdh(fc, shard, id, payload)
+	case frame.TEnroll:
+		s.m.reqEnroll.Add(1)
+		s.enroll(fc, shard, id, payload)
+	case frame.TCertVerify:
+		s.m.reqCertVerify.Add(1)
+		s.certVerify(fc, shard, id, payload)
+	default:
+		s.badRequest(fc, id)
+	}
+}
+
+func (s *server) sign(fc *frame.Conn, shard *repro.BatchEngine, id uint64, digest []byte) {
+	if len(digest) == 0 || len(digest) > frame.MaxDigest {
+		s.badRequest(fc, id)
+		return
+	}
+	err := shard.SignAsync(s.priv, digest, rand.Reader, func(sig *repro.Signature, err error) {
+		if err != nil {
+			s.answerErr(fc, id, err)
+			return
+		}
+		s.answer(fc, id, frame.TOK, sig.Bytes())
+	})
+	if err != nil {
+		s.answerErr(fc, id, err)
+	}
+}
+
+func (s *server) verify(fc *frame.Conn, shard *repro.BatchEngine, id uint64, payload []byte) {
+	key, rawSig, digest, ok := frame.SplitVerify(payload)
+	if !ok {
+		s.badRequest(fc, id)
+		return
+	}
+	pub, err := s.cache.getKey(key)
+	if err != nil {
+		s.badRequest(fc, id)
+		return
+	}
+	sig, err := repro.ParseSignature(rawSig)
+	if err != nil {
+		// Structurally framed but cryptographically malformed: that is
+		// a verification answer (invalid), not a protocol error.
+		s.verdict(fc, id, false, nil)
+		return
+	}
+	err = shard.VerifyKeyAsync(pub, digest, sig, func(ok bool, err error) { s.verdict(fc, id, ok, err) })
+	if err != nil {
+		s.answerErr(fc, id, err)
+	}
+}
+
+func (s *server) verifyR(fc *frame.Conn, shard *repro.BatchEngine, id uint64, payload []byte) {
+	hint, key, rawSig, digest, ok := frame.SplitVerifyR(payload)
+	if !ok {
+		s.badRequest(fc, id)
+		return
+	}
+	pub, err := s.cache.getKey(key)
+	if err != nil {
+		s.badRequest(fc, id)
+		return
+	}
+	sig, err := repro.ParseSignature(rawSig)
+	if err != nil {
+		s.verdict(fc, id, false, nil)
+		return
+	}
+	err = shard.VerifyKeyRecoverableAsync(pub, digest, sig, hint, func(ok bool, err error) { s.verdict(fc, id, ok, err) })
+	if err != nil {
+		s.answerErr(fc, id, err)
+	}
+}
+
+func (s *server) ecdh(fc *frame.Conn, shard *repro.BatchEngine, id uint64, payload []byte) {
+	if len(payload) != frame.KeySize {
+		s.badRequest(fc, id)
+		return
+	}
+	peer, err := repro.NewPublicKey(payload)
+	if err != nil {
+		s.badRequest(fc, id)
+		return
+	}
+	err = shard.SharedSecretKeyAsync(s.priv, peer, func(secret []byte, err error) {
+		if err != nil {
+			s.answerErr(fc, id, err)
+			return
+		}
+		s.answer(fc, id, frame.TOK, secret)
+	})
+	if err != nil {
+		s.answerErr(fc, id, err)
+	}
+}
+
+func (s *server) enroll(fc *frame.Conn, shard *repro.BatchEngine, id uint64, payload []byte) {
+	reqPoint, identity, ok := frame.SplitEnroll(payload)
+	if !ok {
+		s.badRequest(fc, id)
+		return
+	}
+	cert, contrib, err := s.ca.Issue(reqPoint, identity, rand.Reader)
+	if err != nil {
+		// Issue fails only on invalid input (request point or identity)
+		// or an RNG fault; the former dominates and the latter still is
+		// not an engine-lifecycle condition.
+		s.badRequest(fc, id)
+		return
+	}
+	// Extract the certified key through the shard kernel and warm the
+	// key tier under both namespaces: TCertVerify hits the
+	// cert-namespace name, and a client presenting the extracted key
+	// directly to TVerify hits the key-namespace alias. The key earns a
+	// table only by use.
+	pub, err := shard.ExtractPublicKey(cert, s.ca.PublicKey())
+	if err != nil {
+		s.answerErr(fc, id, err)
+		return
+	}
+	s.m.extractions.Add(1)
+	certBytes := cert.Bytes()
+	s.cache.put(pub, certCacheKey(certBytes, identity), keyCacheKey(pub.BytesCompressed()))
+	s.m.enrollments.Add(1)
+	s.answer(fc, id, frame.TOK, certBytes, contrib)
+}
+
+func (s *server) certVerify(fc *frame.Conn, shard *repro.BatchEngine, id uint64, payload []byte) {
+	certBytes, identity, rawSig, digest, ok := frame.SplitCertVerify(payload)
+	if !ok {
+		s.badRequest(fc, id)
+		return
+	}
+	pub, err := s.cache.getCert(certBytes, identity, func() (*repro.PublicKey, error) {
+		cert, err := repro.ParseCert(certBytes, identity)
+		if err != nil {
+			return nil, err
+		}
+		pub, err := shard.ExtractPublicKey(cert, s.ca.PublicKey())
+		if err != nil {
+			return nil, err
+		}
+		s.m.extractions.Add(1)
+		return pub, nil
+	})
+	if err != nil {
+		if errors.Is(err, repro.ErrEngineClosed) {
+			s.answerErr(fc, id, err)
+			return
+		}
+		// Malformed or forged certificate: a protocol-level reject, same
+		// contract as an unparseable key in TVerify.
+		s.badRequest(fc, id)
+		return
+	}
+	sig, err := repro.ParseSignature(rawSig)
+	if err != nil {
+		s.verdict(fc, id, false, nil)
+		return
+	}
+	err = shard.VerifyKeyAsync(pub, digest, sig, func(ok bool, err error) { s.verdict(fc, id, ok, err) })
+	if err != nil {
+		s.answerErr(fc, id, err)
+	}
+}
+
+// answerErr maps an engine failure to a response frame. A closed
+// engine means shutdown won the race with this request — tell the
+// client to reconnect elsewhere rather than reporting a server fault.
+func (s *server) answerErr(fc *frame.Conn, id uint64, err error) {
 	if errors.Is(err, repro.ErrEngineClosed) {
 		s.m.drained.Add(1)
-		s.write(fc, id, frame.TDraining)
+		s.answer(fc, id, frame.TDraining)
 		return
 	}
 	s.m.internalErr.Add(1)
 	if !s.cfg.Quiet {
 		log.Printf("eccserve: request %d: %v", id, err)
 	}
-	s.write(fc, id, frame.TInternal)
+	s.answer(fc, id, frame.TInternal)
 }
 
 // shutdown drains the server: stop accepting, answer new frames with
@@ -584,7 +630,7 @@ func (s *server) shutdown() {
 	}
 
 	// Safe even with stragglers: a submit racing Close gets
-	// ErrEngineClosed back, which writeErr turns into TDraining.
+	// ErrEngineClosed back, which answerErr turns into TDraining.
 	for _, sh := range s.shards {
 		sh.Close()
 	}

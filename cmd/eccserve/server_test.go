@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -651,6 +653,8 @@ func TestMetricsEndpoints(t *testing.T) {
 		"eccserve_keycache_table_builds_total 0",
 		"eccserve_keycache_table_evictions_total 0",
 		"eccserve_keycache_table_declines_total 0",
+		"# TYPE eccserve_response_frames_total counter",
+		"# TYPE eccserve_response_writes_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q\n%s", want, body)
@@ -660,7 +664,7 @@ func TestMetricsEndpoints(t *testing.T) {
 	if !strings.Contains(vars, `"eccserve"`) {
 		t.Fatal("/debug/vars does not publish the eccserve tree")
 	}
-	for _, want := range []string{`"keycache_tables"`, `"keycache_table_builds"`, `"keycache_table_evictions"`, `"keycache_table_declines"`} {
+	for _, want := range []string{`"keycache_tables"`, `"keycache_table_builds"`, `"keycache_table_evictions"`, `"keycache_table_declines"`, `"response_frames"`, `"response_writes"`} {
 		if !strings.Contains(vars, want) {
 			t.Fatalf("/debug/vars missing %s", want)
 		}
@@ -715,4 +719,111 @@ func TestSubmitRacesDrain(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	s.shutdown()
 	wg.Wait()
+}
+
+// countingListener counts the Write calls on the connections it
+// accepts.
+type countingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: nc, writes: &l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestBatchAnswersCoalesce pins the mechanism behind one write per
+// batch: 32 pipelined hinted verifications on one connection to a
+// one-shard server are answered correctly, id by id, in fewer than 32
+// socket writes, and the response counters on /metrics account for
+// every frame and write.
+func TestBatchAnswersCoalesce(t *testing.T) {
+	rnd := rand.New(rand.NewSource(236))
+	priv, err := repro.GenerateKey(rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(priv, serverConfig{Shards: 1, MaxBatch: 32, Window: 50 * time.Millisecond, Quiet: true})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	go s.serve(cl)
+	t.Cleanup(s.shutdown)
+	fc := dialFrame(t, ln.Addr().String())
+
+	const N = 32
+	signers := make([]*repro.PrivateKey, 4)
+	for i := range signers {
+		if signers[i], err = repro.GenerateKey(rnd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make(map[uint64]byte, N)
+	for i := 0; i < N; i++ {
+		signer := signers[i%len(signers)]
+		digest := sha256.Sum256([]byte{byte(i)})
+		sig, hint, err := repro.SignRecoverable(nil, signer, digest[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := sig.Bytes()
+		want[uint64(i+1)] = 1
+		if i%5 == 0 {
+			raw[len(raw)-1] ^= 1
+			want[uint64(i+1)] = 0
+		}
+		req := frame.AppendVerifyR(nil, hint, signer.PublicKey().BytesCompressed(), raw, digest[:])
+		if err := fc.Write(uint64(i+1), frame.TVerifyR, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < N; i++ {
+		f, err := fc.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := want[f.ID]
+		if !ok || f.Type != frame.TOK || !bytes.Equal(f.Payload, []byte{v}) {
+			t.Fatalf("answer id %d: type %#x payload %v, want %v", f.ID, f.Type, f.Payload, []byte{v})
+		}
+		delete(want, f.ID)
+	}
+	// The writer counts a flush once its write has returned, which can
+	// be after the client has read the answers.
+	for deadline := time.Now().Add(5 * time.Second); s.m.respFrames.Load() < N; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("eccserve_response_frames_total stuck at %d, want %d", s.m.respFrames.Load(), N)
+		}
+	}
+	writes := cl.writes.Load()
+	if writes >= N {
+		t.Fatalf("%d answers left in %d writes, want fewer", N, writes)
+	}
+	srv := httptest.NewServer(metricsMux(s.m))
+	defer srv.Close()
+	body := httpGet(t, srv.URL+"/metrics")
+	for _, line := range []string{
+		fmt.Sprintf("eccserve_response_frames_total %d", N),
+		fmt.Sprintf("eccserve_response_writes_total %d", writes),
+	} {
+		if !strings.Contains(body, line) {
+			t.Fatalf("/metrics missing %q", line)
+		}
+	}
 }

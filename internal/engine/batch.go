@@ -56,8 +56,8 @@ var (
 // cycles, which is what keeps the steady state allocation-free.
 type request struct {
 	op opKind
-	// inputs (caller-owned; the caller blocks until done, so the
-	// kernel may read them without copies)
+	// inputs (caller-owned and left unchanged until the request
+	// completes, so the kernel may read them without copies)
 	k      *big.Int
 	point  ec.Affine
 	priv   *core.PrivateKey
@@ -82,9 +82,20 @@ type request struct {
 	res    ec.Affine
 	secret [SecretSize]byte
 	r, s   big.Int
-	ok     bool // verify outcome
+	signed Signature // sign: {&r, &s}, the view a callback receives
+	ok     bool      // verify outcome
 	err    error
-	done   chan struct{}
+	// completion (Engine requests only): the worker calls done once the
+	// request's batch has finished. It is one of the two completions
+	// bound when the pool made the request, so submitting allocates
+	// nothing: wake for a synchronous caller parked on woken, finish
+	// for a callback-form request, which passes the outcome to onSign,
+	// onSecret or onVerify and then pools the request.
+	done, wake, finish func()
+	woken              chan struct{}
+	onSign             func(*Signature, error)
+	onSecret           func([]byte, error)
+	onVerify           func(bool, error)
 }
 
 // newRequest starts with the no-hint sentinel: the zero byte is a
@@ -92,7 +103,31 @@ type request struct {
 // must reset it explicitly or a pooled request could smuggle a stale
 // hint into a plain Verify.
 func newRequest() *request {
-	return &request{hint: sign.HintNone, done: make(chan struct{}, 1)}
+	r := &request{hint: sign.HintNone}
+	r.signed = Signature{R: &r.r, S: &r.s}
+	return r
+}
+
+// callback hands a finished callback-form request's outcome to its
+// caller. What it passes aliases r, which is scrubbed and pooled as
+// soon as the callback returns.
+func (r *request) callback() {
+	switch r.op {
+	case opECDH:
+		if r.err != nil {
+			r.onSecret(nil, r.err)
+		} else {
+			r.onSecret(r.secret[:], nil)
+		}
+	case opSign:
+		if r.err != nil {
+			r.onSign(nil, r.err)
+		} else {
+			r.onSign(&r.signed, nil)
+		}
+	case opVerify:
+		r.onVerify(r.ok, r.err)
+	}
 }
 
 // release readies a finished request for pooling: it drops the
@@ -110,6 +145,7 @@ func (r *request) release() {
 	r.fb = nil
 	r.hint = sign.HintNone
 	r.ct = false
+	r.onSign, r.onSecret, r.onVerify = nil, nil, nil
 	koblitz.WipeInt(&r.nonce)
 	koblitz.WipeInt(&r.kinv)
 	r.secret = [SecretSize]byte{}

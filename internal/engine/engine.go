@@ -20,6 +20,14 @@
 // batches form from whatever is in flight); BatchScalarMult,
 // BatchSharedSecret and BatchSign are the synchronous slice APIs for
 // callers that already hold a batch in hand. Both run the same kernel.
+//
+// Every Engine request completes through one path: right after its
+// batch (and OnBatch), the worker calls the request's completion. The
+// callback forms (SignAsync, SharedSecretAsync, VerifyAsync) hand the
+// outcome to the caller's callback there, on the worker, so a server
+// can answer a whole batch from the goroutine that computed it; the
+// synchronous methods submit and then wait for the completion to wake
+// them.
 package engine
 
 import (
@@ -81,20 +89,23 @@ type Config struct {
 	// Queue is the request channel depth. Defaults to
 	// 2 · MaxBatch · Workers; clamped to [1, QueueLimit].
 	Queue int
-	// BatchWindow bounds how long a worker holds a non-full batch open
-	// waiting for more requests: a batch closes when it reaches
-	// MaxBatch OR when the window expires, whichever comes first. Zero
-	// (the default) keeps the original greedy-drain behaviour — take
-	// whatever is already queued and run immediately, so light load
-	// sees batch-of-one latency. A serving front end that wants real
-	// batches at moderate arrival rates sets a small window (hundreds
-	// of microseconds) and accepts that p99 at idle is bounded by
-	// roughly the window rather than a single op.
+	// BatchWindow is a fixed deadline on a non-full batch: the worker
+	// holds the batch open until it reaches MaxBatch OR the window,
+	// started when the batch opens, expires. Zero (the default) keeps
+	// the greedy drain — take whatever is already queued and run
+	// immediately, so light load sees batch-of-one latency. A serving
+	// front end that wants real batches at moderate arrival rates sets
+	// a small window (hundreds of microseconds), and then every batch
+	// that does not fill waits the whole window. On an idle process
+	// that is longer than asked: Go rounds timer waits below a
+	// millisecond up to about one (time.Sleep(200µs) returns after
+	// ~1.06 ms), so a 200 µs window costs a lone request ~1 ms.
 	BatchWindow time.Duration
 	// OnBatch, when non-nil, observes every processed batch with its
-	// size, after the kernel ran and before submitters unblock. It is
-	// called from worker goroutines concurrently and must be fast and
-	// safe for concurrent use (atomic counters, histogram buckets).
+	// size, after the kernel ran and before the batch's requests
+	// complete. It is called from worker goroutines concurrently and
+	// must be fast and safe for concurrent use (atomic counters,
+	// histogram buckets).
 	OnBatch func(size int)
 	// SkipWarm defers the eager core.Warm() table construction New
 	// performs by default; the first requests then pay it lazily.
@@ -169,7 +180,7 @@ func New(cfg Config) *Engine {
 		cfg:  cfg,
 		reqs: make(chan *request, cfg.Queue),
 	}
-	e.pool.New = func() any { return newRequest() }
+	e.pool.New = func() any { return e.newRequest() }
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
@@ -251,7 +262,7 @@ func (e *Engine) worker() {
 			e.cfg.OnBatch(len(batch))
 		}
 		for _, r := range batch {
-			r.done <- struct{}{}
+			r.done()
 		}
 	}
 }
@@ -281,11 +292,12 @@ func resetWindowTimer(timer *time.Timer, d time.Duration) *time.Timer {
 
 // runBatch executes one batch through processBatch, containing any
 // panic from the kernel: every request in the panicking batch fails
-// with an ErrBatchPanic-wrapped error (so no submitter deadlocks on a
-// never-signalled done channel), and the worker's scratch — whose
-// state the aborted kernel may have left arbitrarily corrupted, with
-// mid-batch secrets still in it — is abandoned for a fresh one. The
-// returned scratch is the one the worker should keep using.
+// with an ErrBatchPanic-wrapped error (so every request still
+// completes, through its callback or by waking its waiter), and the
+// worker's scratch — whose state the aborted kernel may have left
+// arbitrarily corrupted, with mid-batch secrets still in it — is
+// abandoned for a fresh one. The returned scratch is the one the
+// worker should keep using.
 func (e *Engine) runBatch(s *batchScratch, batch []*request) (out *batchScratch) {
 	out = s
 	defer func() {
@@ -310,10 +322,10 @@ func (e *Engine) runBatch(s *batchScratch, batch []*request) (out *batchScratch)
 	return out
 }
 
-// do submits one request and blocks until its batch completes. It
+// submit queues r for the workers, which own it from then on. It
 // reports ErrEngineClosed — without touching the channel — when the
 // engine is closed or closing.
-func (e *Engine) do(r *request) error {
+func (e *Engine) submit(r *request) error {
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
@@ -321,8 +333,41 @@ func (e *Engine) do(r *request) error {
 	}
 	e.reqs <- r
 	e.mu.RUnlock()
-	<-r.done
 	return nil
+}
+
+// do submits one request and waits for its completion to wake it; the
+// caller then reads the outcome and pools r.
+func (e *Engine) do(r *request) error {
+	r.done = r.wake
+	if err := e.submit(r); err != nil {
+		return err
+	}
+	<-r.woken
+	return nil
+}
+
+// start submits a callback-form request. On ErrEngineClosed the
+// callback never runs and r goes straight back to the pool.
+func (e *Engine) start(r *request) error {
+	r.done = r.finish
+	if err := e.submit(r); err != nil {
+		e.put(r)
+		return err
+	}
+	return nil
+}
+
+// newRequest binds the two completions of a pooled Engine request.
+func (e *Engine) newRequest() *request {
+	r := newRequest()
+	r.woken = make(chan struct{}, 1)
+	r.wake = func() { r.woken <- struct{}{} }
+	r.finish = func() {
+		r.callback()
+		e.put(r)
+	}
+	return r
 }
 
 func (e *Engine) get(op opKind) *request {
@@ -409,6 +454,20 @@ func (e *Engine) SharedSecret(priv *core.PrivateKey, peer ec.Affine) ([]byte, er
 	return e.SharedSecretAppend(make([]byte, 0, gf233.ByteLen), priv, peer)
 }
 
+// SharedSecretAsync is SharedSecret in callback form: it queues the
+// request and returns. done runs on a worker goroutine right after the
+// request's batch and must not block; the secret it receives is valid
+// only during the call. A non-nil return (ErrEngineClosed) means done
+// never runs.
+func (e *Engine) SharedSecretAsync(priv *core.PrivateKey, peer ec.Affine, done func(secret []byte, err error)) error {
+	r := e.get(opECDH)
+	r.priv = priv
+	r.point = peer
+	r.ct = e.cfg.ConstTime || priv.ConstTime
+	r.onSecret = done
+	return e.start(r)
+}
+
 // SignInto produces an ECDSA-style signature over digest, drawing the
 // nonce from rand, and stores it in sig (whose R and S are reused when
 // non-nil — the allocation-free steady state for callers that recycle
@@ -445,6 +504,19 @@ func (e *Engine) Sign(priv *core.PrivateKey, digest []byte, rand io.Reader) (*Si
 		return nil, err
 	}
 	return sig, nil
+}
+
+// SignAsync is Sign in callback form, with SharedSecretAsync's
+// contract: the signature done receives is valid only during the call,
+// and digest and rand must stay usable until done runs.
+func (e *Engine) SignAsync(priv *core.PrivateKey, digest []byte, rand io.Reader, done func(sig *Signature, err error)) error {
+	r := e.get(opSign)
+	r.priv = priv
+	r.digest = digest
+	r.rand = rand
+	r.ct = e.cfg.ConstTime || priv.ConstTime
+	r.onSign = done
+	return e.start(r)
 }
 
 // Verify reports whether sig is a valid signature over digest for the
@@ -492,4 +564,18 @@ func (e *Engine) VerifyRecoverable(pub ec.Affine, fb *core.FixedBase, digest []b
 	ok, err := r.ok, r.err
 	e.put(r)
 	return ok, err
+}
+
+// VerifyAsync is VerifyRecoverable in callback form (hint ≥
+// sign.HintNone for a plain Verify), with SharedSecretAsync's
+// contract: digest and sig must stay unchanged until done runs.
+func (e *Engine) VerifyAsync(pub ec.Affine, fb *core.FixedBase, digest []byte, sig *Signature, hint byte, done func(ok bool, err error)) error {
+	r := e.get(opVerify)
+	r.point = pub
+	r.fb = fb
+	r.digest = digest
+	r.sig = sig
+	r.hint = hint
+	r.onVerify = done
+	return e.start(r)
 }

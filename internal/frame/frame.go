@@ -125,7 +125,8 @@ var ErrFrameTooShort = errors.New("frame: frame shorter than header")
 // write that errors mid-way (deadline expiry, reset) may have left a
 // partial frame on the wire, after which no later frame can be framed
 // correctly. Writers get this error immediately instead of queueing
-// behind a dead connection.
+// behind a dead connection. Queued frames that will never be sent,
+// because the stream broke or the Conn closed, complete with it too.
 var ErrWriteBroken = errors.New("frame: write stream broken by earlier error")
 
 // Frame is one decoded frame. Payload aliases the connection's read
@@ -140,7 +141,9 @@ type Frame struct {
 // Conn wraps a net.Conn with frame encode/decode state: a buffered
 // single-reader side and a mutex-serialised writer side, so any
 // number of goroutines may Write responses while one goroutine owns
-// Read — exactly the shape of a pipelined server connection.
+// Read — exactly the shape of a pipelined server connection. A server
+// may instead Queue its responses for a writer goroutine that sends
+// whatever has accumulated in one write (StartWriter).
 type Conn struct {
 	nc   net.Conn
 	br   *bufio.Reader
@@ -155,11 +158,20 @@ type Conn struct {
 	wmu  sync.Mutex
 	wbuf []byte
 	werr error // sticky: first write error, stream corrupt after it
+
+	// The queued writer, guarded by qmu; qcond wakes its goroutine.
+	qmu   sync.Mutex
+	qcond sync.Cond
+	qbuf  []byte        // frames queued since the last flush began
+	qdone []func(error) // their completions, one per frame (nil allowed)
+	qerr  error         // sticky: the error that broke the stream, or net.ErrClosed
 }
 
 // NewConn wraps c.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{nc: c, br: bufio.NewReaderSize(c, 4<<10)}
+	fc := &Conn{nc: c, br: bufio.NewReaderSize(c, 4<<10)}
+	fc.qcond.L = &fc.qmu
+	return fc
 }
 
 // SetReadIdleTimeout arms a read deadline of d before every Read: a
@@ -245,8 +257,132 @@ func (c *Conn) Write(id uint64, typ byte, segs ...[]byte) error {
 	return err
 }
 
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.nc.Close() }
+// StartWriter starts the connection's writer goroutine, which sends
+// the frames Queue accumulates: each flush takes everything queued
+// since the previous one began and sends it in one Write, under one
+// write deadline (SetWriteTimeout). flushed, when non-nil, observes
+// each successful flush with the number of frames it carried. broken
+// receives the error of a failed flush (one that Close caused
+// included) before any frame it failed completes; the goroutine then
+// exits, as it does on Close, so broken runs at most once. Call
+// StartWriter at most once, before the first Queue, and do not mix
+// Queue with Write.
+func (c *Conn) StartWriter(flushed func(frames int), broken func(error)) {
+	go c.writeLoop(flushed, broken)
+}
+
+// Queue appends one frame, whose payload is the concatenation of segs,
+// to the connection's outgoing buffer and returns without blocking;
+// segs are copied. done, when non-nil, runs exactly once: on the
+// writer goroutine after the flush that carried the frame, with nil or
+// with the error that broke the stream. A frame queued once the stream
+// broke or the Conn closed never reaches the wire, and its done runs
+// at once with an ErrWriteBroken error. done must not block. Safe for
+// concurrent use.
+func (c *Conn) Queue(done func(error), id uint64, typ byte, segs ...[]byte) {
+	total := 0
+	for _, s := range segs {
+		total += len(s)
+	}
+	if total > MaxPayload {
+		complete(done, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, total))
+		return
+	}
+	c.qmu.Lock()
+	if c.qerr != nil {
+		err := c.qerr
+		c.qmu.Unlock()
+		complete(done, fmt.Errorf("%w: %v", ErrWriteBroken, err))
+		return
+	}
+	// The frame layout Write sends.
+	b := binary.BigEndian.AppendUint32(c.qbuf, uint32(innerLen+total))
+	b = binary.BigEndian.AppendUint64(b, id)
+	b = append(b, typ)
+	for _, s := range segs {
+		b = append(b, s...)
+	}
+	c.qbuf = b
+	c.qdone = append(c.qdone, done)
+	c.qmu.Unlock()
+	c.qcond.Signal()
+}
+
+// writeLoop is the writer goroutine. A flush swaps the queued frames
+// out under the lock and writes them unlocked, so frames queued while
+// it is in progress leave together in the next one.
+func (c *Conn) writeLoop(flushed func(int), broken func(error)) {
+	var buf []byte
+	var done []func(error)
+	for {
+		c.qmu.Lock()
+		for len(c.qbuf) == 0 && c.qerr == nil {
+			c.qcond.Wait()
+		}
+		if c.qerr != nil {
+			// Closed: whatever is still queued never goes out.
+			left, err := c.qdone, c.qerr
+			c.qbuf, c.qdone = nil, nil
+			c.qmu.Unlock()
+			completeAll(left, fmt.Errorf("%w: %v", ErrWriteBroken, err))
+			return
+		}
+		buf, c.qbuf = c.qbuf, buf[:0]
+		done, c.qdone = c.qdone, done[:0]
+		c.qmu.Unlock()
+		if c.writeTimeout > 0 {
+			c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+		}
+		if _, err := c.nc.Write(buf); err != nil {
+			// The flush may have left a partial frame on the wire: the
+			// stream can no longer be framed.
+			c.qmu.Lock()
+			if c.qerr == nil {
+				c.qerr = err
+			}
+			left := c.qdone
+			c.qbuf, c.qdone = nil, nil
+			c.qmu.Unlock()
+			if broken != nil {
+				broken(err)
+			}
+			completeAll(done, err)
+			completeAll(left, fmt.Errorf("%w: %v", ErrWriteBroken, err))
+			return
+		}
+		if flushed != nil {
+			flushed(len(done))
+		}
+		completeAll(done, nil)
+		clear(done)
+	}
+}
+
+func complete(done func(error), err error) {
+	if done != nil {
+		done(err)
+	}
+}
+
+func completeAll(done []func(error), err error) {
+	for _, f := range done {
+		complete(f, err)
+	}
+}
+
+// Close closes the underlying connection. Frames still queued complete
+// with an error and never reach the wire, and the writer goroutine
+// exits as soon as a flush it may be blocked in fails on the closed
+// connection. Close does not wait for it, so broken may call Close.
+func (c *Conn) Close() error {
+	c.qmu.Lock()
+	if c.qerr == nil {
+		c.qerr = net.ErrClosed
+	}
+	c.qmu.Unlock()
+	c.qcond.Broadcast()
+	return c.nc.Close()
+}
 
 // RemoteAddr reports the peer address of the underlying connection.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }

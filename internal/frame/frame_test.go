@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -378,5 +380,202 @@ func TestSplitCertVerify(t *testing.T) {
 		if _, _, _, _, ok := SplitCertVerify(bad); ok {
 			t.Fatalf("SplitCertVerify accepted hostile payload %d", i)
 		}
+	}
+}
+
+// queueStats counts a queued writer's flushes and frames and records
+// every broken-stream report.
+type queueStats struct {
+	mu             sync.Mutex
+	flushes, sent  int
+	broken         []error
+	brokenReported chan struct{}
+}
+
+// startQueued starts the writer goroutine of c.
+func startQueued(c *Conn) *queueStats {
+	st := &queueStats{brokenReported: make(chan struct{})}
+	c.StartWriter(func(n int) {
+		st.mu.Lock()
+		st.flushes++
+		st.sent += n
+		st.mu.Unlock()
+	}, func(err error) {
+		st.mu.Lock()
+		st.broken = append(st.broken, err)
+		st.mu.Unlock()
+		close(st.brokenReported)
+	})
+	return st
+}
+
+// TestQueueManyWriters queues 1,000 frames with mixed segments from 64
+// goroutines: the peer reads every frame exactly once and byte-exact,
+// every completion runs exactly once with nil, and the writer sends
+// them in no more writes than frames.
+func TestQueueManyWriters(t *testing.T) {
+	client, server := pipePair()
+	defer client.Close()
+	defer server.Close()
+	st := startQueued(server)
+
+	const G, N = 64, 1000
+	payload := func(id int) [][]byte {
+		p := bytes.Repeat([]byte{byte(id)}, id%50)
+		return [][]byte{p[:len(p)/3], nil, p[len(p)/3:], []byte{byte(id >> 8)}}
+	}
+	var completions [N]atomic.Int32
+	var done sync.WaitGroup
+	done.Add(N)
+	for g := 0; g < G; g++ {
+		go func(g int) {
+			for id := g; id < N; id += G {
+				server.Queue(func(err error) {
+					if err != nil {
+						t.Errorf("frame %d completed with %v", id, err)
+					}
+					completions[id].Add(1)
+					done.Done()
+				}, uint64(id), TOK, payload(id)...)
+			}
+		}(g)
+	}
+	seen := make(map[uint64]bool)
+	for i := 0; i < N; i++ {
+		f, err := client.Read()
+		if err != nil {
+			t.Fatalf("frame %d of %d: %v", i, N, err)
+		}
+		if seen[f.ID] || f.ID >= N || f.Type != TOK {
+			t.Fatalf("unexpected frame id %d type %#x", f.ID, f.Type)
+		}
+		seen[f.ID] = true
+		if want := bytes.Join(payload(int(f.ID)), nil); !bytes.Equal(f.Payload, want) {
+			t.Fatalf("frame %d: payload %x, want %x", f.ID, f.Payload, want)
+		}
+	}
+	done.Wait()
+	for id := range completions {
+		if n := completions[id].Load(); n != 1 {
+			t.Fatalf("frame %d completed %d times", id, n)
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.sent != N || st.flushes < 1 || st.flushes > N || len(st.broken) != 0 {
+		t.Fatalf("flushed %d frames in %d writes, broken %v", st.sent, st.flushes, st.broken)
+	}
+}
+
+// TestQueueBrokenFlush fails a flush two ways, a write stall under a
+// deadline and a closed peer: broken is reported once, every frame of
+// the failed flush and every frame queued after it completes with an
+// error, and nothing queued after the break reaches the wire.
+func TestQueueBrokenFlush(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		brk   func(client *Conn)
+		check func(err error) bool
+	}{
+		{"write stall", func(*Conn) {}, isTimeout},
+		{"closed peer", func(client *Conn) { client.Close() }, func(err error) bool { return err != nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := pipePair() // net.Pipe: a write blocks until read
+			defer client.Close()
+			defer server.Close()
+			server.SetWriteTimeout(100 * time.Millisecond)
+			st := startQueued(server)
+
+			errs := make(chan error, 8)
+			record := func(err error) { errs <- err }
+			tc.brk(client)
+			for id := uint64(1); id <= 3; id++ {
+				server.Queue(record, id, TOK, []byte("x"))
+			}
+			select {
+			case <-st.brokenReported:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the failed flush was never reported")
+			}
+			st.mu.Lock()
+			if len(st.broken) != 1 || !tc.check(st.broken[0]) {
+				t.Fatalf("broken reports %v", st.broken)
+			}
+			st.mu.Unlock()
+			for i := 0; i < 3; i++ {
+				select {
+				case err := <-errs:
+					if err == nil {
+						t.Fatal("a frame of the broken stream completed with nil")
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a frame of the broken stream never completed")
+				}
+			}
+			// Queued after the break: completes at once, before Queue
+			// returns, and is never sent.
+			server.Queue(record, 4, TOK, []byte("late"))
+			select {
+			case err := <-errs:
+				if !errors.Is(err, ErrWriteBroken) {
+					t.Fatalf("frame queued after the break: err = %v, want ErrWriteBroken", err)
+				}
+			default:
+				t.Fatal("a frame queued after the break did not complete at once")
+			}
+			if tc.name == "write stall" {
+				client.SetReadIdleTimeout(200 * time.Millisecond)
+				if f, err := client.Read(); !isTimeout(err) {
+					t.Fatalf("peer read %+v, %v after the break; want nothing", f, err)
+				}
+			}
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			if len(st.broken) != 1 || st.sent != 0 {
+				t.Fatalf("broken reported %d times, %d frames sent", len(st.broken), st.sent)
+			}
+		})
+	}
+}
+
+// TestQueueClose closes a Conn whose writer is blocked in a flush to a
+// peer that never reads, with more frames queued behind it: every
+// frame completes with an error, a frame queued after Close completes
+// at once, and the writer goroutine exits.
+func TestQueueClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	client, server := pipePair()
+	defer client.Close()
+	st := startQueued(server)
+
+	const N = 5
+	errs := make(chan error, N+1)
+	for id := uint64(1); id <= N; id++ {
+		server.Queue(func(err error) { errs <- err }, id, TOK, []byte("queued"))
+	}
+	server.Close()
+	server.Queue(func(err error) { errs <- err }, N+1, TOK)
+	for i := 0; i < N+1; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a frame completed with nil on a Conn closed before any read")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d frames completed after Close", i, N+1)
+		}
+	}
+	client.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("writer goroutine outlived Close\n%s", buf[:runtime.Stack(buf, true)])
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.sent != 0 || len(st.broken) > 1 {
+		t.Fatalf("%d frames reached a peer that never read; broken reported %d times", st.sent, len(st.broken))
 	}
 }
