@@ -11,7 +11,8 @@
 #                  path can never rot on CLMUL machines), a short
 #                  differential-fuzz smoke of the 64-bit and CLMUL field
 #                  backends, the batched inversion, the mod-n inversion
-#                  and the fast τ-adic recoding, and the
+#                  (single and batched) and the fast τ-adic recoding,
+#                  and the
 #                  zero-alloc guards (which must run WITHOUT -race,
 #                  hence the separate pass), and a vet of the whole
 #                  module for arm64
@@ -45,7 +46,8 @@
 #                  traces for different secrets, and the paper's
 #                  variable-time path must NOT), the hardened
 #                  differential and scrub tests, and the dudect timing
-#                  smoke (Welch's t on hardened Sign/ECDH and on the
+#                  smoke (Welch's t on hardened Sign — key and nonce
+#                  classes — and ECDH, and on the single and batched
 #                  mod-n inversion). CT_FULL=1
 #                  runs the full-strength dudect pass (30k samples,
 #                  |t| < 4.5) plus the detector self-validation
@@ -122,6 +124,7 @@ fuzz:
 	$(GO) test ./internal/koblitz -run='^$$' -fuzz=FuzzRecodeVsReference -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzJointScalarMultVsSeparate -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzModNInvVsBig -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzBatchInvVsBig -fuzztime=10s
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzMultiScalarVsJoint -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz=FuzzParseCert -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz=FuzzParsePEM -fuzztime=10s

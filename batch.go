@@ -112,12 +112,11 @@ func WithBatchObserver(f func(batchSize int)) EngineOption {
 // evaluators, regardless of whether the submitting key is hardened
 // (PrivateKey.Hardened; a hardened key is constant-time on any
 // engine). Signatures are byte-identical to the fast path for the
-// same nonce stream; hardened signatures skip the batched
-// Montgomery-trick nonce inversion (whose shared chain is
-// variable-time) in favour of a per-request constant-time inversion,
-// so at batch 32 a signature costs ~2.6× the fast one. Verification —
-// public inputs only — is unaffected and keeps full batch
-// amortisation. See the README's "Hardened mode" section.
+// same nonce stream. Only the nonce point changes: the mod-n work is
+// constant-time for every request, so hardened signatures share the
+// batch's one nonce inversion with fast ones. Verification — public
+// inputs only — is unaffected and keeps full batch amortisation. See
+// the README's "Hardened mode" section.
 func WithConstTime() EngineOption {
 	return func(o *engineOptions) { o.cfg.ConstTime = true }
 }

@@ -228,9 +228,9 @@ type PrivateKey struct {
 	Public ec.Affine
 	// ConstTime routes every secret-scalar operation with this key —
 	// signing, ECDH, key derivation — through the constant-time
-	// evaluators (ct.go, modn_ct.go): no secret-dependent branches or
-	// table addresses. One-shot ECDH then costs 1.5–1.7× the fast path
-	// and one-shot signing ~2.1× (README, "Hardened mode"). Results
+	// evaluators (ct.go): no secret-dependent branches or table
+	// addresses. One-shot ECDH then costs 1.5–1.7× the fast path
+	// and one-shot signing ~2.3× (README, "Hardened mode"). Results
 	// are bit-identical to the fast path. Verification, which handles
 	// only public inputs, is unaffected.
 	ConstTime bool
@@ -253,22 +253,35 @@ func GenerateKeyCT(rand io.Reader) (*PrivateKey, error) {
 }
 
 func generateKey(rand io.Reader, ct bool) (*PrivateKey, error) {
-	byteLen := (ec.Order.BitLen() + 7) / 8
-	buf := make([]byte, byteLen)
-	for tries := 0; tries < 1000; tries++ {
-		if _, err := io.ReadFull(rand, buf); err != nil {
-			return nil, errors.Join(ErrRandom, err)
-		}
-		d := new(big.Int).SetBytes(buf)
-		// Strip excess bits above the order's bit length.
-		d.Rsh(d, uint(8*byteLen-ec.Order.BitLen()))
-		if CheckScalar(d) != nil {
-			continue
-		}
-		if ct {
-			return &PrivateKey{D: d, Public: ScalarBaseMultCT(d), ConstTime: true}, nil
-		}
-		return &PrivateKey{D: d, Public: ScalarBaseMult(d)}, nil
+	d := new(big.Int)
+	if err := SampleScalar(d, rand, new([32]byte)); err != nil {
+		return nil, err
 	}
-	return nil, ErrRandom
+	if ct {
+		return &PrivateKey{D: d, Public: ScalarBaseMultCT(d), ConstTime: true}, nil
+	}
+	return &PrivateKey{D: d, Public: ScalarBaseMult(d)}, nil
+}
+
+// SampleScalar sets k to a scalar uniform in [1, n−1] drawn from rand
+// by rejection sampling, reading through buf: the one sampler behind
+// every private key and signing nonce. It zeroes buf before it
+// returns, and a caller that reuses k and buf draws without
+// allocating. A rejected candidate's bytes are independent of the
+// accepted scalar.
+func SampleScalar(k *big.Int, rand io.Reader, buf *[32]byte) error {
+	defer clear(buf[:])
+	byteLen := (ec.Order.BitLen() + 7) / 8
+	for tries := 0; tries < 1000; tries++ {
+		if _, err := io.ReadFull(rand, buf[:byteLen]); err != nil {
+			return errors.Join(ErrRandom, err)
+		}
+		k.SetBytes(buf[:byteLen])
+		// Strip excess bits above the order's bit length.
+		k.Rsh(k, uint(8*byteLen-ec.Order.BitLen()))
+		if CheckScalar(k) == nil {
+			return nil
+		}
+	}
+	return ErrRandom
 }

@@ -6,41 +6,120 @@ import (
 	"math/bits"
 
 	"repro/internal/ec"
-	"repro/internal/koblitz"
 )
 
-// Allocation-free arithmetic modulo the group order n, shared by every
-// front end that works in the exponent group: the one-shot verifier
-// (internal/sign), the batch engine's signing and verification kernels
-// (internal/engine), and the hardened signing assembly (modn_ct.go).
-// There is one inversion for all of them, and it is constant-time:
-// Bernstein–Yang safegcd on fixed words (invModN).
+// Arithmetic modulo the group order n, on four 64-bit words: the one
+// mod-n arithmetic of every front end that works in the exponent
+// group — the one-shot signer and verifier (internal/sign), the batch
+// engine's signing and verification kernels (internal/engine) and ECQV
+// issuance (internal/ecqv). Every operation is constant-time: products
+// are 4-word Montgomery multiplications with masked final
+// subtractions, and the one inversion is Bernstein–Yang safegcd
+// (invModN). Values enter and leave as big.Int through one 32-byte
+// buffer (SetBig, Big); those two conversions are the only steps whose
+// cost tracks a value's length.
 
-// ModN bundles the scratch state for allocation-free multiplication
-// and inversion modulo n. The zero value is ready to use; buffers
-// reach steady-state size after the first call of each kind. A ModN is
-// NOT safe for concurrent use — give each goroutine its own (pool it
-// next to the point scratch).
-type ModN struct {
-	q, rem, prod big.Int  // Mul staging (prod must never alias an operand)
-	buf          [32]byte // big.Int↔word staging
+// Residue is a value of the exponent group as four little-endian
+// 64-bit words: n has 232 bits, so every residue fits with room to
+// spare. The operations take canonical residues (0 ≤ v < n) and return
+// them; the zero value is 0.
+type Residue [4]uint64
+
+// SetBig sets x to v, for 0 ≤ v < 2^256, and returns x.
+func (x *Residue) SetBig(v *big.Int) *Residue {
+	var buf [32]byte
+	v.FillBytes(buf[:])
+	for i := range x {
+		x[i] = binary.BigEndian.Uint64(buf[24-8*i:])
+	}
+	return x
 }
 
-// Mul sets dst = a·b mod n via QuoRem on scratch receivers (a plain
-// aliased Mod would allocate per call, and so would an aliased Mul —
-// hence the dedicated product temporary). dst may alias a or b.
-func (m *ModN) Mul(dst, a, b *big.Int) {
-	m.prod.Mul(a, b)
-	m.q.QuoRem(&m.prod, ec.Order, &m.rem)
-	dst.Set(&m.rem)
+// Big stores x into dst and returns dst. SetBytes grows dst only when
+// its capacity is short, so steady-state callers allocate nothing.
+func (x *Residue) Big(dst *big.Int) *big.Int {
+	var buf [32]byte
+	for i, w := range x {
+		binary.BigEndian.PutUint64(buf[24-8*i:], w)
+	}
+	return dst.SetBytes(buf[:])
 }
 
-// words4 is a value of the exponent group as four little-endian 64-bit
-// words: n has 232 bits, so every residue fits with room to spare.
-type words4 [4]uint64
+// Mul sets x = a·b mod n and returns x: a Montgomery product, then one
+// by R² mod n to cancel its R⁻¹. x may alias a or b.
+func (x *Residue) Mul(a, b *Residue) *Residue {
+	t := montMul(a, b)
+	*x = montMul(&t, &montRR)
+	return x
+}
+
+// Add sets x = a + b mod n and returns x (the 233-bit sum never carries
+// out of the top word). x may alias a or b.
+func (x *Residue) Add(a, b *Residue) *Residue {
+	var carry uint64
+	for i := range x {
+		x[i], carry = bits.Add64(a[i], b[i], carry)
+	}
+	ctReduce(x)
+	return x
+}
+
+// Inv sets x = a⁻¹ mod n and returns x, with 0 mapping to 0.
+func (x *Residue) Inv(a *Residue) *Residue {
+	*x = invModN(a)
+	return x
+}
+
+// BatchInv sets out[i] = vals[i]⁻¹ mod n for every i by Montgomery's
+// trick: prefix products, ONE inversion of the full product, then a
+// backward sweep. Every value must lie in [1, n−1] — n is prime, so
+// the product then stays invertible — and out (len(out) == len(vals))
+// must not overlap vals. The prefix products are plain Montgomery
+// products, so out[i] = v₀⋯vᵢ·R⁻ⁱ: the R powers cancel in the sweep,
+// and each output is exact with no R² correction. Every step is
+// constant-time, so secret values (signing nonces) may share a batch.
+func BatchInv(vals, out []Residue) {
+	if len(vals) == 0 {
+		return
+	}
+	out[0] = vals[0]
+	for i := 1; i < len(vals); i++ {
+		out[i] = montMul(&out[i-1], &vals[i])
+	}
+	inv := invModN(&out[len(vals)-1])
+	for i := len(vals) - 1; i > 0; i-- {
+		// inv = (v₀⋯vᵢ)⁻¹·Rⁱ here.
+		out[i] = montMul(&inv, &out[i-1])
+		inv = montMul(&inv, &vals[i])
+	}
+	out[0] = inv
+}
+
+// SignSCT returns the ECDSA assembly s = k⁻¹·(e + r·d) mod n from the
+// nonce inverse and the canonical residues e, r and d: two Montgomery
+// products, each after a conversion into Montgomery form, and a masked
+// addition. It is the one assembly of s, for fast and hardened signing.
+func SignSCT(kinv, e, r, d *Residue) Residue {
+	rm := toMont(r)
+	rd := montMul(&rm, d) // r·d
+	var sum Residue
+	sum.Add(&rd, e)
+	sm := toMont(&sum)
+	return montMul(kinv, &sm) // k⁻¹·(e + r·d)
+}
+
+// ReduceModOrder reduces 0 <= v < 2^233 modulo n in place. n has bit
+// 231 set, so at most three conditional subtractions fully reduce —
+// and unlike an aliased big.Int Mod they allocate nothing. This is the
+// reduction both ECDSA directions apply to the shared abscissa x(R).
+func ReduceModOrder(v *big.Int) {
+	for v.Cmp(ec.Order) >= 0 {
+		v.Sub(v, ec.Order)
+	}
+}
 
 // orderW4 is n in the fixed-width representation.
-var orderW4 = new(ModN).words(ec.Order)
+var orderW4 = *new(Residue).SetBig(ec.Order)
 
 // nInv64 is n⁻¹ mod 2^64, by Newton's iteration: n is odd, so n·n ≡ 1
 // mod 8 seeds it with 3 correct bits, and each step doubles them.
@@ -53,56 +132,66 @@ var nInv64 = func() uint64 {
 	return inv
 }()
 
-// words stages 0 ≤ v < 2^256 into fixed-width words through the
-// byte buffer, which FillBytes fills whatever the value's length.
-func (m *ModN) words(v *big.Int) words4 {
-	v.FillBytes(m.buf[:])
-	var w words4
-	for i := range w {
-		w[i] = binary.BigEndian.Uint64(m.buf[24-8*i:])
+// Montgomery constants for R = 2^256, computed at package init:
+// −n⁻¹ mod 2^64 and R² mod n.
+var (
+	montN0 = -nInv64
+	montRR = func() Residue {
+		rr := new(big.Int).Lsh(big.NewInt(1), 512)
+		return *new(Residue).SetBig(rr.Mod(rr, ec.Order))
+	}()
+)
+
+// montMul returns a·b·R⁻¹ mod n for a, b in [0, n) (CIOS, fixed
+// instruction sequence, masked final subtraction). Each round ends
+// with t < 2n < 2^233, so four words hold t between rounds and a fifth
+// (t4) is needed only within one.
+func montMul(a, b *Residue) Residue {
+	var t Residue
+	for i := range b {
+		// t += a·b[i], into five words.
+		var c, cc uint64
+		for j := range a {
+			hi, lo := bits.Mul64(a[j], b[i])
+			t[j], cc = bits.Add64(t[j], lo, 0)
+			hi += cc
+			t[j], cc = bits.Add64(t[j], c, 0)
+			c = hi + cc
+		}
+		t4 := c
+		// t = (t + m·n)/2^64, with m chosen so the low word cancels.
+		m := t[0] * montN0
+		hi, lo := bits.Mul64(m, orderW4[0])
+		_, cc = bits.Add64(t[0], lo, 0)
+		c = hi + cc
+		for j := 1; j < len(t); j++ {
+			hi, lo = bits.Mul64(m, orderW4[j])
+			lo, cc = bits.Add64(lo, t[j], 0)
+			hi += cc
+			t[j-1], cc = bits.Add64(lo, c, 0)
+			c = hi + cc
+		}
+		t[3] = t4 + c
 	}
-	return w
+	ctReduce(&t)
+	return t
 }
 
-// setBig stores x into dst through the byte buffer, reusing dst's
-// storage (SetBytes grows only when capacity is short, so steady-state
-// callers allocate nothing).
-func (m *ModN) setBig(dst *big.Int, x *words4) {
-	for i, w := range x {
-		binary.BigEndian.PutUint64(m.buf[24-8*i:], w)
+// ctReduce subtracts n from t < 2n under a mask when t ≥ n.
+func ctReduce(t *Residue) {
+	var s Residue
+	var borrow uint64
+	for i := range t {
+		s[i], borrow = bits.Sub64(t[i], orderW4[i], borrow)
 	}
-	dst.SetBytes(m.buf[:])
-}
-
-// Inv sets dst = a⁻¹ mod n for a in [0, n), with 0 mapping to 0. The
-// words routine under it (invModN) is constant-time; the big.Int
-// conversions around it are not, as their cost tracks the values'
-// lengths.
-func (m *ModN) Inv(dst, a *big.Int) {
-	aw := m.words(a)
-	iw := invModN(&aw)
-	m.setBig(dst, &iw)
-}
-
-// Wipe zeroes the scratch state (including capacity beyond the current
-// word counts). Callers that ran secret values through a pooled ModN —
-// the signing kernel inverts nonces — wipe before it idles.
-func (m *ModN) Wipe() {
-	for _, v := range []*big.Int{&m.q, &m.rem, &m.prod} {
-		koblitz.WipeInt(v)
-	}
-	m.buf = [32]byte{}
-}
-
-// ReduceModOrder reduces 0 <= v < 2^233 modulo n in place. n has bit
-// 231 set, so at most three conditional subtractions fully reduce —
-// and unlike an aliased big.Int Mod they allocate nothing. This is the
-// reduction both ECDSA directions apply to the shared abscissa x(R).
-func ReduceModOrder(v *big.Int) {
-	for v.Cmp(ec.Order) >= 0 {
-		v.Sub(v, ec.Order)
+	mask := borrow - 1 // all ones when t ≥ n
+	for i := range t {
+		t[i] = s[i]&mask | t[i]&^mask
 	}
 }
+
+// toMont converts to Montgomery form.
+func toMont(a *Residue) Residue { return montMul(a, &montRR) }
 
 // Inversion modulo n by Bernstein–Yang safegcd ("Fast constant-time
 // gcd computation and modular inversion", TCHES 2019), laid out as
@@ -129,7 +218,7 @@ var (
 	orderInv62 = int64(nInv64 & m62) // n⁻¹ mod 2^62
 )
 
-func toLimbs62(w *words4) limbs62 {
+func toLimbs62(w *Residue) limbs62 {
 	return limbs62{
 		int64(w[0] & m62),
 		int64((w[0]>>62 | w[1]<<2) & m62),
@@ -138,9 +227,9 @@ func toLimbs62(w *words4) limbs62 {
 	}
 }
 
-// words converts v in [0, 2^256) back to words4.
-func (v *limbs62) words() words4 {
-	return words4{
+// words converts v in [0, 2^256) back to a Residue.
+func (v *limbs62) words() Residue {
+	return Residue{
 		uint64(v[0]) | uint64(v[1])<<62,
 		uint64(v[1])>>2 | uint64(v[2])<<60,
 		uint64(v[2])>>4 | uint64(v[3])<<58,
@@ -149,7 +238,7 @@ func (v *limbs62) words() words4 {
 }
 
 // invModN returns a⁻¹ mod n for a in [0, n), and 0 for a = 0.
-func invModN(a *words4) words4 {
+func invModN(a *Residue) Residue {
 	f, g := order62, toLimbs62(a)
 	var d, e limbs62
 	e[0] = 1

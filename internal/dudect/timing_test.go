@@ -67,6 +67,42 @@ func TestDudectHardenedSign(t *testing.T) {
 	}
 }
 
+// fixedNonce is a random source whose every read is the same value,
+// right-aligned: the nonce sampler accepts it on its first draw.
+type fixedNonce struct{ v *big.Int }
+
+func (f fixedNonce) Read(p []byte) (int, error) {
+	f.v.FillBytes(p)
+	return len(p), nil
+}
+
+// TestDudectHardenedSignNonce holds the key fixed and varies the
+// nonce: hardened Sign reads a stream whose accepted nonce is 1 in one
+// class and dense in the other, so the nonce's path — the sampler, its
+// big.Int load into mod-n words, the safegcd inversion and the
+// constant-time comb — is what gets timed.
+func TestDudectHardenedSignNonce(t *testing.T) {
+	key := timingKeys(t)[1]
+	samples, threshold := timingParams()
+	digest := sha256.Sum256([]byte("dudect sign nonce"))
+	dense, _ := new(big.Int).SetString(
+		"5555555555555555555555555555555555555555555555555555555555", 16)
+	op := func(nonce *big.Int) func() {
+		return func() {
+			if _, err := key.Sign(fixedNonce{nonce}, digest[:], nil); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	res := dudect.Measure(dudect.Options{Samples: samples, Seed: 47},
+		[2]func(){op(big.NewInt(1)), op(dense)})
+	t.Logf("sign nonce: t = %.2f over %d samples/class (means %.0fns / %.0fns)",
+		res.T, res.Samples, res.Class0Ns, res.Class1Ns)
+	if math.Abs(res.T) > threshold {
+		t.Errorf("hardened Sign timing depends on the nonce: |t| = %.2f > %.1f", math.Abs(res.T), threshold)
+	}
+}
+
 func TestDudectHardenedECDH(t *testing.T) {
 	keys := timingKeys(t)
 	samples, threshold := timingParams()

@@ -142,15 +142,24 @@ func (c *Cert) Digest(caPub ec.Affine) [sha256.Size]byte {
 }
 
 // HashScalar computes e = H(Cert_U) as a scalar mod n (sign.HashToInt,
-// the module's one digest-to-scalar mapping). e = 0 makes the
-// certificate useless (extraction would ignore the certificate point);
-// issuance retries it away, and the verifier-side paths reject it as
-// ErrInvalidCert.
+// the module's one digest-to-scalar mapping, which already returns
+// e < n). e = 0 makes the certificate useless (extraction would ignore
+// the certificate point); issuance retries it away, and the
+// verifier-side paths reject it as ErrInvalidCert.
 func (c *Cert) HashScalar(caPub ec.Affine) *big.Int {
 	d := c.Digest(caPub)
-	e := sign.HashToInt(d[:])
-	e.Mod(e, ec.Order)
-	return e
+	return sign.HashToInt(d[:])
+}
+
+// mulAdd returns e·k + d mod n for e, k, d in [0, n), computed on
+// core's constant-time mod-n words: k is secret in both uses (the CA's
+// nonce, the requester's ephemeral key), and so is d at issuance.
+func mulAdd(e, k, d *big.Int) *big.Int {
+	var ew, kw, dw core.Residue
+	ew.SetBig(e)
+	kw.SetBig(k)
+	dw.SetBig(d)
+	return kw.Mul(&ew, &kw).Add(&kw, &dw).Big(new(big.Int))
 }
 
 // NewRequest draws the requester's ephemeral pair (k_U, R_U = k_U·G).
@@ -226,10 +235,7 @@ func (ca *CA) Issue(reqPoint ec.Affine, identity []byte, rand io.Reader) (*Cert,
 			continue // degenerate hash: reroll the certificate point
 		}
 		// r = e·k + d_CA mod n.
-		r := new(big.Int).Mul(e, k.D)
-		r.Add(r, ca.priv.D)
-		r.Mod(r, ec.Order)
-		return cert, r, nil
+		return cert, mulAdd(e, k.D, ca.priv.D), nil
 	}
 }
 
@@ -266,9 +272,7 @@ func Reconstruct(reqPriv *core.PrivateKey, cert *Cert, r *big.Int, caPub ec.Affi
 	if e.Sign() == 0 {
 		return nil, ErrInvalidCert
 	}
-	d := new(big.Int).Mul(e, reqPriv.D)
-	d.Add(d, r)
-	d.Mod(d, ec.Order)
+	d := mulAdd(e, reqPriv.D, r)
 	// CheckScalar (inside NewPrivateKey) rejects d = 0, the remaining
 	// degenerate corner.
 	priv, err := core.NewPrivateKey(d)

@@ -52,8 +52,8 @@ var (
 )
 
 // request carries one operation through the batch pipeline. All
-// big.Int intermediates are request-owned and reused across pool
-// cycles, which is what keeps the steady state allocation-free.
+// intermediates are request-owned and reused across pool cycles, which
+// is what keeps the steady state allocation-free.
 type request struct {
 	op opKind
 	// inputs (caller-owned and left unchanged until the request
@@ -71,13 +71,11 @@ type request struct {
 	// intermediates
 	ld     ec.LD64
 	nonce  big.Int
-	kinv   big.Int
 	e      big.Int
-	w      big.Int     // verify: s⁻¹ mod n from the batched inversion
-	u1, u2 big.Int     // verify: e·w and r·w mod n
-	rho    uint64      // verify: random linear-combination weight
-	rpt    ec.Affine64 // verify: recovered nonce point, pre-negated (−R)
-	lcDone bool        // verify: settled by the linear-combination pass
+	u1, u2 core.Residue // verify: e·s⁻¹ and r·s⁻¹ mod n
+	rho    uint64       // verify: random linear-combination weight
+	rpt    ec.Affine64  // verify: recovered nonce point, pre-negated (−R)
+	lcDone bool         // verify: settled by the linear-combination pass
 	// results
 	res    ec.Affine
 	secret [SecretSize]byte
@@ -132,8 +130,9 @@ func (r *request) callback() {
 
 // release readies a finished request for pooling: it drops the
 // caller-owned references and scrubs the secret-bearing state — the
-// ECDSA nonce and its inverse (either leaks the private key when
-// combined with the published signature) and the raw ECDH secret.
+// ECDSA nonce (it leaks the private key when combined with the
+// published signature; its inverse never leaves the scratch) and the
+// raw ECDH secret.
 // The public outputs (r, s, res) and the digest value stay; pooled
 // objects idle indefinitely, so this runs on every return path.
 func (r *request) release() {
@@ -147,29 +146,28 @@ func (r *request) release() {
 	r.ct = false
 	r.onSign, r.onSecret, r.onVerify = nil, nil, nil
 	koblitz.WipeInt(&r.nonce)
-	koblitz.WipeInt(&r.kinv)
 	r.secret = [SecretSize]byte{}
 }
 
 // batchScratch is one worker's reusable state: the core scratch for
 // point arithmetic, the operand/scratch slices for the batched field
-// inversion, and the big.Int temporaries for the batched mod-n
-// arithmetic. Not safe for concurrent use.
+// and mod-n inversions, and the big.Int stores the ladders read. Not
+// safe for concurrent use.
 type batchScratch struct {
-	cs  *core.Scratch
-	zs  []gf233.Elem64
-	zi  []gf233.Elem64
-	pfx []*big.Int // exclusive prefix products mod n
-	// mod-n arithmetic state, hoisted to core.ModN (shared with the
-	// one-shot verifier) plus the two running values the Montgomery
-	// trick threads through a batch.
-	mn      core.ModN
-	minv, t big.Int
-	buf     [32]byte
-	signQ   []*request
-	fastQ   []*request // finishSigns: the non-hardened subset of signQ
-	verifyQ []*request
-	reqs    []*request // slice-API staging
+	cs *core.Scratch
+	zs []gf233.Elem64
+	zi []gf233.Elem64
+	// the batched mod-n inversion (core.BatchInv): the values (nonces
+	// or s components) and their prefix products, which become the
+	// inverses.
+	nv, pfx []core.Residue
+	buf     [32]byte // nonce sampling buffer
+	// big.Int stores of word scalars for the ladders: u1, u2 for a
+	// joint ladder (then x(R') mod n), term for a multi-scalar term.
+	u1, u2, term big.Int
+	signQ        []*request
+	verifyQ      []*request
+	reqs         []*request // slice-API staging
 	// extraction staging: the queued requests and the contiguous
 	// (scalar, point, result) views the batched multi-point ladder
 	// consumes.
@@ -194,9 +192,6 @@ type batchScratch struct {
 	x2s    []gf233.Elem64 // inversion scratch
 	xb     [gf233.ByteLen]byte
 	rb     big.Int // abscissa candidate r + offset·n
-	rh     big.Int // current weight ρ
-	pr     big.Int // ρ·u product
-	gs     big.Int // coalesced generator scalar Σρᵢu1ᵢ mod n
 }
 
 // lcGroup coalesces the u2 scalars of one distinct public key: all
@@ -206,7 +201,7 @@ type batchScratch struct {
 type lcGroup struct {
 	pub ec.Affine
 	fb  *core.FixedBase
-	c   big.Int
+	c   core.Residue
 	in  bool
 }
 
@@ -240,8 +235,8 @@ var kernelPool = sync.Pool{New: func() any { return newBatchScratch() }}
 // processBatch runs a mixed batch through the shared pipeline:
 //
 //	phase 1: per-request input checks and, for verification, one
-//	         Montgomery-trick batched mod-n inversion for every s⁻¹
-//	         followed by the joint u1·G + u2·Q ladders;
+//	         batched mod-n inversion for every s⁻¹ followed by the
+//	         joint u1·G + u2·Q ladders;
 //	phase 2: per-request point work, left projective (no inversions);
 //	phase 3: one batched field inversion for every LD→affine;
 //	phase 4: per-request finalisation from the shared inverses;
@@ -339,12 +334,12 @@ func processBatch(s *batchScratch, batch []*request) {
 				continue // ok stays false
 			}
 			// v = x(R') mod n from the shared inverse; accept iff it
-			// matches the signature's r. u1 is free again and serves as
-			// the comparison scratch.
+			// matches the signature's r. The ladders are done, so s.u1
+			// serves as the comparison scratch.
 			x := gf233.Mul64(r.ld.X, zs[i]).Elem().Bytes()
-			r.u1.SetBytes(x[:])
-			core.ReduceModOrder(&r.u1)
-			r.ok = r.u1.Cmp(r.sig.R) == 0
+			s.u1.SetBytes(x[:])
+			core.ReduceModOrder(&s.u1)
+			r.ok = s.u1.Cmp(r.sig.R) == 0
 		case opExtract:
 			if r.ld.IsInfinity() {
 				// e·P_U = −Q_CA: not a usable public key. Unreachable for
@@ -387,19 +382,13 @@ func processBatch(s *batchScratch, batch []*request) {
 //     fixed-width staging words of the constant-time evaluators —
 //     every batch kind runs secret scalars through it (private keys
 //     for ECDH, nonces for signing);
-//   - the nonce sampling buffer, the nonce prefix products and the
-//     Montgomery-trick inversion state of the batched signing path.
+//   - the nonce sampling buffer, and the nonce words and their prefix
+//     products (the inverses) of the batched mod-n inversion.
 func (s *batchScratch) scrub() {
 	s.cs.Wipe()
 	s.buf = [32]byte{}
-	for _, p := range s.pfx {
-		if p != nil {
-			koblitz.WipeInt(p)
-		}
-	}
-	koblitz.WipeInt(&s.minv)
-	koblitz.WipeInt(&s.t)
-	s.mn.Wipe()
+	clear(s.nv[:cap(s.nv)])
+	clear(s.pfx[:cap(s.pfx)])
 }
 
 // affineFrom converts a projective result using its precomputed
@@ -414,8 +403,8 @@ func affineFrom(ld ec.LD64, zinv gf233.Elem64) ec.Affine {
 	}
 }
 
-// prepareSign hashes the digest, samples a nonce by rejection (the
-// same sampler as core.GenerateKey, into request-owned storage) and
+// prepareSign hashes the digest, samples a nonce into request-owned
+// storage (core.SampleScalar, the sampler behind core.GenerateKey) and
 // computes the nonce point on the generator comb, left projective.
 func (s *batchScratch) prepareSign(r *request) error {
 	if r.priv == nil || r.priv.D == nil || r.priv.D.Sign() == 0 {
@@ -423,23 +412,12 @@ func (s *batchScratch) prepareSign(r *request) error {
 	}
 	r.ct = r.ct || r.priv.ConstTime
 	sign.HashToIntInto(&r.e, r.digest)
-	byteLen := (ec.Order.BitLen() + 7) / 8
-	for tries := 0; ; tries++ {
-		if tries == 1000 {
-			return core.ErrRandom
-		}
-		if _, err := io.ReadFull(r.rand, s.buf[:byteLen]); err != nil {
-			return errors.Join(core.ErrRandom, err)
-		}
-		r.nonce.SetBytes(s.buf[:byteLen])
-		r.nonce.Rsh(&r.nonce, uint(8*byteLen-ec.Order.BitLen()))
-		if r.nonce.Sign() != 0 && r.nonce.Cmp(ec.Order) < 0 {
-			break
-		}
+	if err := core.SampleScalar(&r.nonce, r.rand, &s.buf); err != nil {
+		return err
 	}
 	// The hardened nonce point runs the constant-time comb; the nonce
-	// sampler above is shared (same bytes consumed from rand), so
-	// hardened and fast signatures agree byte for byte per stream.
+	// sampler is shared (same bytes consumed from rand), so hardened
+	// and fast signatures agree byte for byte per stream.
 	if r.ct {
 		r.ld = s.cs.ScalarBaseMultCTLD64(&r.nonce)
 	} else {
@@ -448,70 +426,31 @@ func (s *batchScratch) prepareSign(r *request) error {
 	return nil
 }
 
-// batchInvert computes dst(r) = val(r)⁻¹ mod n for every queued
-// request with Montgomery's trick in (Z/n)^*: exclusive prefix
-// products of the values, ONE modular inversion of the running
-// product, then a backward sweep handing each request its inverse.
-// Every val(r) must lie in [1, n−1] — n is prime, so the running
-// product then stays invertible. Both batched mod-n inversions (nonce
-// inverses for signing, s⁻¹ for verification) run through this one
-// implementation. The accessor funcs must be capture-free literals so
-// the call allocates nothing.
-func (s *batchScratch) batchInvert(q []*request, val, dst func(*request) *big.Int) {
-	pfx := core.Grow(&s.pfx, len(q))
-	run := s.t.SetInt64(1)
-	for i, r := range q {
-		if pfx[i] == nil {
-			pfx[i] = new(big.Int)
-		}
-		pfx[i].Set(run)
-		s.mn.Mul(run, run, val(r))
-	}
-	s.mn.Inv(&s.minv, run)
-	for i := len(q) - 1; i >= 0; i-- {
-		r := q[i]
-		s.mn.Mul(dst(r), &s.minv, pfx[i])
-		s.mn.Mul(&s.minv, &s.minv, val(r))
-	}
-}
-
-// finishSigns computes every queued signature's s = k⁻¹(e + r·d).
-// Fast requests share ONE modular inversion for all their nonces
-// (batchInvert); hardened requests never enter the Montgomery trick —
-// its chained big.Int products are variable-time in the nonces — and
-// instead assemble per-request on fixed-width words around the
-// constant-time safegcd inverse (core.ModN.SignSCT), which produces
-// bit-identical signatures. Requests that hit the r = 0 / s = 0
-// rejection corners (probability ~2^-232 each) retry sequentially.
+// finishSigns computes every queued signature's s = k⁻¹(e + r·d),
+// fast and hardened alike: ONE mod-n inversion covers all the nonces
+// (core.BatchInv) and each signature runs the one word assembly
+// (core.SignSCT). Both are constant-time, so hardened requests share
+// the batch's inversion. Requests that hit the r = 0 / s = 0 rejection
+// corners (probability ~2^-232 each) retry sequentially.
 func (s *batchScratch) finishSigns(signQ []*request) {
-	fastQ := s.fastQ[:0]
-	for _, r := range signQ {
-		if !r.ct {
-			fastQ = append(fastQ, r)
-		}
+	nv := core.Grow(&s.nv, len(signQ))
+	for i, r := range signQ {
+		nv[i].SetBig(&r.nonce)
 	}
-	s.fastQ = fastQ
-	if len(fastQ) > 0 {
-		s.batchInvert(fastQ,
-			func(r *request) *big.Int { return &r.nonce },
-			func(r *request) *big.Int { return &r.kinv })
-	}
-	for _, r := range signQ {
+	kinv := core.Grow(&s.pfx, len(signQ))
+	core.BatchInv(nv, kinv)
+	for i, r := range signQ {
 		if r.r.Sign() == 0 {
 			s.retrySign(r)
 			continue
 		}
-		// s = k⁻¹(e + r·d) mod n.
-		if r.ct {
-			s.mn.SignSCT(&r.s, &r.nonce, &r.e, &r.r, r.priv.D)
-		} else {
-			r.s.Mul(&r.r, r.priv.D)
-			r.s.Add(&r.s, &r.e)
-			s.mn.Mul(&r.s, &r.s, &r.kinv)
-		}
-		if r.s.Sign() == 0 {
+		var e, rw, d core.Residue
+		sw := core.SignSCT(&kinv[i], e.SetBig(&r.e), rw.SetBig(&r.r), d.SetBig(r.priv.D))
+		if sw == (core.Residue{}) {
 			s.retrySign(r)
+			continue
 		}
+		sw.Big(&r.s)
 	}
 }
 
@@ -549,7 +488,6 @@ func (s *batchScratch) prepareExtract(r *request) bool {
 		return false
 	}
 	sign.HashToIntInto(&r.e, r.digest)
-	core.ReduceModOrder(&r.e)
 	if r.e.Sign() == 0 {
 		r.err = ErrExtractDegenerate
 		return false
@@ -584,9 +522,9 @@ func (s *batchScratch) extractPoints(exQ []*request) {
 const lcMinBatch = 4
 
 // verifyPoints computes every queued verification with ONE batched
-// mod-n inversion for all the s values (batchInvert — the s components
-// were range-checked into [1, n−1] by prepareVerify), then settles the
-// verdicts in two tiers:
+// mod-n inversion for all the s values (core.BatchInv — the s
+// components were range-checked into [1, n−1] by prepareVerify) and
+// u1, u2 on words, then settles the verdicts in two tiers:
 //
 //	tier 1: requests carrying a recovery hint have their nonce points
 //	        recovered by batched decompression and are checked all at
@@ -606,13 +544,16 @@ const lcMinBatch = 4
 // LD→affine conversions then ride the batch-wide field inversion with
 // everything else.
 func (s *batchScratch) verifyPoints(verifyQ []*request) {
-	s.batchInvert(verifyQ,
-		func(r *request) *big.Int { return r.sig.S },
-		func(r *request) *big.Int { return &r.w })
-	for _, r := range verifyQ {
+	sv := core.Grow(&s.nv, len(verifyQ))
+	for i, r := range verifyQ {
+		sv[i].SetBig(r.sig.S)
+	}
+	w := core.Grow(&s.pfx, len(verifyQ))
+	core.BatchInv(sv, w)
+	for i, r := range verifyQ {
 		// u1 = e·s⁻¹, u2 = r·s⁻¹.
-		s.mn.Mul(&r.u1, &r.e, &r.w)
-		s.mn.Mul(&r.u2, r.sig.R, &r.w)
+		r.u1.SetBig(&r.e).Mul(&r.u1, &w[i])
+		r.u2.SetBig(r.sig.R).Mul(&r.u2, &w[i])
 	}
 	lcQ := s.lcQ[:0]
 	for _, r := range verifyQ {
@@ -634,10 +575,12 @@ func (s *batchScratch) verifyPoints(verifyQ []*request) {
 		}
 		// The interleaved ladder, over the per-key table when the
 		// caller precomputed one.
+		r.u1.Big(&s.u1)
+		r.u2.Big(&s.u2)
 		if r.fb != nil {
-			r.ld = s.cs.JointScalarMultFixedLD64(&r.u1, &r.u2, r.fb)
+			r.ld = s.cs.JointScalarMultFixedLD64(&s.u1, &s.u2, r.fb)
 		} else {
-			r.ld = s.cs.JointScalarMultLD64(&r.u1, &r.u2, r.point)
+			r.ld = s.cs.JointScalarMultLD64(&s.u1, &s.u2, r.point)
 		}
 	}
 }
@@ -766,32 +709,33 @@ func (s *batchScratch) verifyLC(lcQ []*request) []*request {
 	if len(kept) < lcMinBatch {
 		return nil
 	}
-	s.gs.SetInt64(0)
+	// The generator scalar Σρᵢu1ᵢ and each key's Σρᵢu2ᵢ, mod n.
+	var gs, t core.Residue
 	for _, r := range kept {
 		rho := rhoSrc.Uint64() >> 1
 		if rho == 0 {
 			rho = 1
 		}
 		r.rho = rho
-		s.rh.SetUint64(rho)
-		s.mn.Mul(&s.pr, &s.rh, &r.u1)
-		addModOrder(&s.gs, &s.pr)
+		w := core.Residue{rho}
+		gs.Add(&gs, t.Mul(&w, &r.u1))
 		g := s.groupFor(r)
-		s.mn.Mul(&s.pr, &s.rh, &r.u2)
-		addModOrder(&g.c, &s.pr)
+		g.c.Add(&g.c, t.Mul(&w, &r.u2))
 	}
+	// Each term recodes its scalar on entry, so one big.Int store
+	// serves them all.
 	ms := &s.ms
 	ms.Reset()
-	ms.AddGen(&s.gs)
+	ms.AddGen(gs.Big(&s.term))
 	for i := 0; i < s.ng; i++ {
 		g := &s.groups[i]
 		if !g.in {
 			continue
 		}
 		if g.fb != nil {
-			ms.AddFixed(&g.c, g.fb)
+			ms.AddFixed(g.c.Big(&s.term), g.fb)
 		} else {
-			ms.AddAffine(&g.c, g.pub.To64())
+			ms.AddAffine(g.c.Big(&s.term), g.pub.To64())
 		}
 	}
 	for _, r := range kept {
@@ -826,19 +770,9 @@ func (s *batchScratch) groupFor(r *request) *lcGroup {
 	s.ng++
 	g.pub = r.point
 	g.fb = r.fb
-	g.c.SetInt64(0)
+	g.c = core.Residue{}
 	g.in = false // settled by verifyLC's per-key subgroup sweep
 	return g
-}
-
-// addModOrder accumulates dst = dst + a mod n for operands already in
-// [0, n): the sum is below 2n, so one conditional subtraction reduces
-// fully (and, unlike Mod, never allocates).
-func addModOrder(dst, a *big.Int) {
-	dst.Add(dst, a)
-	if dst.Cmp(ec.Order) >= 0 {
-		dst.Sub(dst, ec.Order)
-	}
 }
 
 // retrySign redoes one signature sequentially with fresh nonces — the
@@ -955,7 +889,7 @@ func BatchSharedSecret(priv *core.PrivateKey, peers []ec.Affine, out []ECDHResul
 
 // BatchVerify reports, for each i, whether sigs[i] is a valid
 // signature over digests[i] under pubs[i], through the batch kernel:
-// one Montgomery-trick mod-n inversion for every s⁻¹ in the slice and
+// one batched mod-n inversion for every s⁻¹ in the slice and
 // one batched field inversion for every LD→affine conversion. ok is
 // the caller-provided result slice (len(ok) == len(pubs)).
 func BatchVerify(pubs []ec.Affine, digests [][]byte, sigs []*Signature, ok []bool) {

@@ -8,8 +8,10 @@
 //     coordinates, and ONE field inversion (Montgomery's trick,
 //     gf233.InvBatch64: one Inv64 plus 3(N−1) multiplications) converts
 //     the whole batch back to affine;
-//   - ECDSA nonce inverses mod n are batched the same way — one
-//     modular inversion per batch instead of one per signature;
+//   - the mod-n inversions are batched the same way (core.BatchInv on
+//     machine words): one constant-time safegcd inversion per batch
+//     covers every signing nonce, fast and hardened alike, and another
+//     every verification's s⁻¹;
 //   - incoming ECDH peers are validated with the exact halving-trace
 //     subgroup test (ecdh.ValidateTau → core.InSubgroup): two traces
 //     and one table half-trace, ~0.4 µs, no inversion;
@@ -114,12 +116,11 @@ type Config struct {
 	// signing nonces and ECDH — through the constant-time evaluators,
 	// regardless of the per-key ConstTime flag (a hardened key stays
 	// hardened either way). Signatures are byte-identical to the fast
-	// path. Hardened signatures skip the batched Montgomery-trick nonce
-	// inversion (whose chained big.Int products are variable-time) in
-	// favour of a per-request fixed-width assembly around the
-	// constant-time safegcd inverse; at batch 32 a signature costs ~2.6×
-	// the fast one. Verification, which handles only public inputs, is
-	// unaffected.
+	// path. Only the nonce point changes (the constant-time comb): the
+	// mod-n work is constant-time for every request, so hardened
+	// signatures share the batch's one nonce inversion and the one
+	// assembly of s with fast ones. Verification, which handles only
+	// public inputs, is unaffected.
 	ConstTime bool
 }
 

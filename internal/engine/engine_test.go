@@ -113,6 +113,49 @@ func TestBatchSignVerifies(t *testing.T) {
 	}
 }
 
+// TestMixedBatchSignMatchesOneShot runs fast and hardened signing
+// requests alternately through one processBatch, each on its own
+// nonce stream, and requires every signature to equal one-shot
+// sign.Sign's on a copy of that stream: both kinds share the batch's
+// one nonce inversion and the one assembly of s.
+func TestMixedBatchSignMatchesOneShot(t *testing.T) {
+	priv := testKey(t, 12)
+	hard := *priv
+	hard.ConstTime = true
+	s := newBatchScratch()
+	const N = 10
+	batch := make([]*request, N)
+	digests := make([][]byte, N)
+	for i := range batch {
+		d := sha256.Sum256([]byte{byte(i), 0x6d})
+		digests[i] = d[:]
+		r := newRequest()
+		r.op = opSign
+		r.priv = priv
+		r.digest = digests[i]
+		r.rand = rand.New(rand.NewSource(int64(200 + i)))
+		r.ct = i%2 == 1
+		batch[i] = r
+	}
+	processBatch(s, batch)
+	for i, r := range batch {
+		if r.err != nil {
+			t.Fatalf("request %d (hardened=%v): %v", i, r.ct, r.err)
+		}
+		k := priv
+		if i%2 == 1 {
+			k = &hard
+		}
+		want, err := sign.Sign(k, digests[i], rand.New(rand.NewSource(int64(200+i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.r.Cmp(want.R) != 0 || r.s.Cmp(want.S) != 0 {
+			t.Fatalf("request %d (hardened=%v): batch signature differs from one-shot Sign", i, r.ct)
+		}
+	}
+}
+
 // TestEngineMixedOps drives an Engine from many goroutines with all
 // three op kinds at once and cross-checks every result.
 func TestEngineMixedOps(t *testing.T) {
@@ -178,8 +221,8 @@ func errFmt(s string) error { return strErr(s) }
 
 // TestScrubClearsSecrets pins the secret-hygiene contract: after a
 // sign batch completes and its requests are scrubbed, neither the
-// request nor the worker scratch retains the nonce, its inverse, the
-// sampling bytes, or an ECDH secret.
+// request nor the worker scratch retains the nonce, its word form or
+// inverse, the sampling bytes, or an ECDH secret.
 func TestScrubClearsSecrets(t *testing.T) {
 	priv := testKey(t, 8)
 	rnd := rand.New(rand.NewSource(9))
@@ -198,16 +241,17 @@ func TestScrubClearsSecrets(t *testing.T) {
 		t.Fatal("expected a live nonce before scrub")
 	}
 	r.release()
-	for _, v := range []*big.Int{&r.nonce, &r.kinv} {
-		bits := v.Bits()
-		for _, w := range bits[:cap(bits)] {
-			if w != 0 {
-				t.Fatal("nonce state survived scrub")
-			}
+	bits := r.nonce.Bits()
+	for _, w := range bits[:cap(bits)] {
+		if w != 0 {
+			t.Fatal("nonce state survived scrub")
 		}
 	}
 	if s.buf != [32]byte{} {
 		t.Fatal("sampling buffer survived the batch")
+	}
+	if modNResidue(s) {
+		t.Fatal("nonce words or their inverses survived the batch")
 	}
 	// ECDH secrets clear the same way.
 	r2 := newRequest()

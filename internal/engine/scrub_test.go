@@ -3,18 +3,31 @@ package engine
 import (
 	"crypto/rand"
 	"crypto/sha256"
-	"math/big"
 	"testing"
 
 	"repro/internal/core"
 )
 
+// modNResidue reports whether the batched mod-n inversion's words —
+// the values and the prefix products that become their inverses — hold
+// anything nonzero, over their whole capacity.
+func modNResidue(s *batchScratch) bool {
+	for _, v := range [][]core.Residue{s.nv[:cap(s.nv)], s.pfx[:cap(s.pfx)]} {
+		for _, w := range v {
+			if w != (core.Residue{}) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestBatchScratchScrubbedAfterBatch inspects the worker scratch for
 // secret residue after a signing batch: the nonce sampling buffer, the
-// prefix products and the Montgomery-trick inversion state must all be
-// zero when processBatch returns — a pooled or worker-held scratch
-// idles indefinitely, and these fields held nonce-derived values
-// mid-batch. Both the fast and the hardened arm are checked.
+// nonce words and their prefix products must all be zero when
+// processBatch returns — a pooled or worker-held scratch idles
+// indefinitely, and these fields held nonce-derived values mid-batch.
+// Both the fast and the hardened arm are checked.
 func TestBatchScratchScrubbedAfterBatch(t *testing.T) {
 	priv, err := core.GenerateKey(rand.Reader)
 	if err != nil {
@@ -46,12 +59,10 @@ func TestBatchScratchScrubbedAfterBatch(t *testing.T) {
 		if s.buf != [32]byte{} {
 			t.Errorf("hardened=%v: nonce sampling buffer not scrubbed: %x", hardened, s.buf)
 		}
-		for i, p := range s.pfx {
-			if p != nil && p.Sign() != 0 {
-				t.Errorf("hardened=%v: prefix product %d not scrubbed", hardened, i)
-			}
+		if len(s.pfx) != N {
+			t.Fatalf("hardened=%v: %d prefix products for %d signatures (test setup broken)", hardened, len(s.pfx), N)
 		}
-		if s.minv.Sign() != 0 || s.t.Sign() != 0 {
+		if modNResidue(s) {
 			t.Errorf("hardened=%v: inversion state not scrubbed", hardened)
 		}
 		// The requests still hold their nonces (the caller reads r/s
@@ -59,7 +70,7 @@ func TestBatchScratchScrubbedAfterBatch(t *testing.T) {
 		// scrub them.
 		for i, r := range batch {
 			r.release()
-			if r.nonce.Sign() != 0 || r.kinv.Sign() != 0 {
+			if r.nonce.Sign() != 0 {
 				t.Errorf("hardened=%v: request %d nonce state survived release", hardened, i)
 			}
 		}
@@ -78,15 +89,14 @@ func TestBatchScratchScrubbedNoSigns(t *testing.T) {
 	s := newBatchScratch()
 	// Pollute the sign-path transients as a sign batch would.
 	s.buf = [32]byte{1, 2, 3}
-	s.minv.SetInt64(42)
-	s.t.SetInt64(7)
-	s.pfx = append(s.pfx, big.NewInt(99))
+	s.nv = append(s.nv, core.Residue{42})
+	s.pfx = append(s.pfx, core.Residue{99}, core.Residue{7})
 	r := newRequest()
 	r.op = opECDH
 	r.priv = priv
 	r.point = priv.Public
 	processBatch(s, []*request{r})
-	if s.buf != [32]byte{} || s.minv.Sign() != 0 || s.t.Sign() != 0 || s.pfx[0].Sign() != 0 {
+	if s.buf != [32]byte{} || modNResidue(s) {
 		t.Error("sign-path residue survived a non-signing batch")
 	}
 }

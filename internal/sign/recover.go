@@ -75,19 +75,15 @@ func RecoverHint(pub ec.Affine, digest []byte, sig *Signature) (byte, error) {
 	if !CheckVerifyInputs(pub, sig) {
 		return HintNone, ErrInvalidSignature
 	}
-	e := HashToInt(digest)
-	w := new(big.Int).ModInverse(sig.S, ec.Order)
-	u1 := new(big.Int).Mul(e, w)
-	u1.Mod(u1, ec.Order)
-	u2 := new(big.Int).Mul(sig.R, w)
-	u2.Mod(u2, ec.Order)
+	u1, u2 := new(big.Int), new(big.Int)
+	verifyScalars(u1, u2, HashToInt(digest), sig)
 	rp := core.JointScalarMult(u1, u2, pub)
 	if rp.Inf {
 		return HintNone, ErrInvalidSignature
 	}
 	xb := rp.X.Bytes()
 	v := new(big.Int).SetBytes(xb[:])
-	v.Mod(v, ec.Order)
+	core.ReduceModOrder(v)
 	if v.Cmp(sig.R) != 0 {
 		return HintNone, ErrInvalidSignature
 	}

@@ -69,28 +69,26 @@ func Sign(priv *core.PrivateKey, digest []byte, rand io.Reader) (*Signature, err
 // without disturbing the signature bytes (Sign and SignRecoverable
 // draw identical nonces from the same rand, so their (r, s) agree).
 //
-// A key with ConstTime set routes through the hardened arms: the nonce
-// point comes from the constant-time comb (core.GenerateKeyCT — same
-// rejection sampler, same bytes consumed from rand, so the nonce is
-// identical for a given stream) and s = k⁻¹(e + r·d) assembles on
-// fixed-width mod-n words around the constant-time safegcd inverse
-// (core.ModN.SignSCT). Both arms are mathematically identical, so
-// hardened signatures are byte-identical to fast ones for the same
-// rand stream. The fast arm keeps big.Int.ModInverse: one-shot, it
-// measured faster than core.ModN.Inv with its big.Int conversions.
+// The nonce comes from core's one rejection sampler, and s = k⁻¹(e +
+// r·d) assembles one way for every key: the constant-time safegcd
+// inverse of k and the word assembly core.SignSCT. Only the nonce point
+// depends on the key's ConstTime flag: the constant-time comb
+// (core.GenerateKeyCT) for a hardened key, the fast comb otherwise.
+// Both draw the same bytes from rand, so hardened signatures are
+// byte-identical to fast ones for the same stream.
 func signCore(priv *core.PrivateKey, digest []byte, rand io.Reader) (*Signature, ec.Affine, error) {
 	if priv == nil || priv.D == nil || priv.D.Sign() == 0 {
 		return nil, ec.Infinity, ErrInvalidKey
 	}
-	hardened := priv.ConstTime
-	e := HashToInt(digest)
-	var mn core.ModN
+	var e, d core.Residue
+	e.SetBig(HashToInt(digest))
+	d.SetBig(priv.D)
 	for tries := 0; tries < 100; tries++ {
 		var (
 			nonce *core.PrivateKey
 			err   error
 		)
-		if hardened {
+		if priv.ConstTime {
 			nonce, err = core.GenerateKeyCT(rand)
 		} else {
 			nonce, err = core.GenerateKey(rand)
@@ -98,31 +96,23 @@ func signCore(priv *core.PrivateKey, digest []byte, rand io.Reader) (*Signature,
 		if err != nil {
 			return nil, ec.Infinity, err
 		}
-		k := nonce.D
+		var k, rw core.Residue
+		k.SetBig(nonce.D)
+		koblitz.WipeInt(nonce.D)
 		// R = k·G; r = x(R) as an integer mod n.
 		rp := nonce.Public
 		xb := rp.X.Bytes()
 		r := new(big.Int).SetBytes(xb[:])
-		r.Mod(r, ec.Order)
+		core.ReduceModOrder(r)
 		if r.Sign() == 0 {
 			continue
 		}
-		// s = k⁻¹ (e + r·d) mod n.
-		s := new(big.Int)
-		if hardened {
-			mn.SignSCT(s, k, e, r, priv.D)
-		} else {
-			kinv := new(big.Int).ModInverse(k, ec.Order)
-			s.Mul(r, priv.D)
-			s.Add(s, e)
-			s.Mul(s, kinv)
-			s.Mod(s, ec.Order)
-		}
-		if s.Sign() == 0 {
+		// s = k⁻¹(e + r·d) mod n.
+		s := core.SignSCT(k.Inv(&k), &e, rw.SetBig(r), &d)
+		if s == (core.Residue{}) {
 			continue
 		}
-		koblitz.WipeInt(k)
-		return &Signature{R: r, S: s}, rp, nil
+		return &Signature{R: r, S: s.Big(new(big.Int))}, rp, nil
 	}
 	return nil, ec.Infinity, ErrSigningFailed
 }
@@ -195,13 +185,12 @@ func (g *drbg) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// verifyScratch bundles the reusable per-call state of the verifier:
-// the mod-n arithmetic scratch and the big.Int intermediates. All
-// inputs to a verification are public, so pooled scratches need no
-// scrubbing — pooling exists purely so the hot path allocates nothing.
+// verifyScratch bundles the reusable per-call big.Int state of the
+// verifier. All inputs to a verification are public, so pooled
+// scratches need no scrubbing — pooling exists purely so the hot path
+// allocates nothing.
 type verifyScratch struct {
-	mn              core.ModN
-	e, w, u1, u2, v big.Int
+	e, u1, u2, v big.Int
 }
 
 var verifyPool = sync.Pool{New: func() any { return new(verifyScratch) }}
@@ -227,8 +216,8 @@ func CheckVerifyInputs(pub ec.Affine, sig *Signature) bool {
 //
 // The verification equation R' = u1·G + u2·Q runs as a single
 // Shamir/Straus-interleaved τ-adic ladder (core.JointScalarMult): one
-// shared Frobenius loop, one final field inversion, and the safegcd
-// mod-n inverse for s⁻¹ (core.ModN.Inv) — against the seed's two
+// shared Frobenius loop, one final field inversion, and u1, u2 on
+// mod-n words around the safegcd inverse of s — against the seed's two
 // disjoint multiplications, three extra inversions and per-call
 // big.Int.ModInverse (kept below as VerifySeparate). The call is
 // allocation-free in steady state.
@@ -253,9 +242,7 @@ func verifyJoint(pub ec.Affine, fb *core.FixedBase, digest []byte, sig *Signatur
 	vs := verifyPool.Get().(*verifyScratch)
 	defer verifyPool.Put(vs)
 	HashToIntInto(&vs.e, digest)
-	vs.mn.Inv(&vs.w, sig.S)
-	vs.mn.Mul(&vs.u1, &vs.e, &vs.w)
-	vs.mn.Mul(&vs.u2, sig.R, &vs.w)
+	verifyScalars(&vs.u1, &vs.u2, &vs.e, sig)
 	// R' = u1·G + u2·Q in one interleaved ladder.
 	var rp ec.Affine
 	if fb != nil {
@@ -270,6 +257,15 @@ func verifyJoint(pub ec.Affine, fb *core.FixedBase, digest []byte, sig *Signatur
 	vs.v.SetBytes(xb[:])
 	core.ReduceModOrder(&vs.v)
 	return vs.v.Cmp(sig.R) == 0
+}
+
+// verifyScalars sets the verification equation's scalars u1 = e·s⁻¹
+// and u2 = r·s⁻¹ mod n, computed on words.
+func verifyScalars(u1, u2, e *big.Int, sig *Signature) {
+	var w, x core.Residue
+	w.SetBig(sig.S).Inv(&w)
+	x.SetBig(e).Mul(&x, &w).Big(u1)
+	x.SetBig(sig.R).Mul(&x, &w).Big(u2)
 }
 
 // VerifySeparate is the seed verifier, byte-for-byte: two disjoint

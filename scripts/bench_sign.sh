@@ -43,10 +43,10 @@ END {
     printf "    \"cpu\": \"%s (GOMAXPROCS=1)\",\n", cpu
     printf "    \"go_bench\": \"go test -run ^$ -bench BenchmarkSign$ -benchtime=%s -cpu 1 . (scripts/bench_sign.sh)\",\n", benchtime
     printf "    \"notes\": [\n"
-    printf "      \"oneshot = sign.Sign fast path: wTNAF comb ScalarBaseMult for the nonce, big.Int.ModInverse nonce inversion, DER encoding\",\n"
-    printf "      \"batch32 = engine.BatchSign at batch 32: pooled scratch, batched normalisation, zero allocs per signature\",\n"
-    printf "      \"hardened = the same one-shot on a hardened key: masked full-table scans over the width-WCombCT split comb, safegcd nonce inversion, branchless exceptional cases\",\n"
-    printf "      \"hardenedBatch32 = engine.BatchSign with WithConstTime: hardened evaluation, batched normalisation still shared\",\n"
+    printf "      \"oneshot = sign.Sign fast path: comb ScalarBaseMult for the nonce, safegcd nonce inversion and the assembly of s on mod-n words, DER encoding\",\n"
+    printf "      \"batch32 = engine.BatchSign at batch 32: pooled scratch, batched normalisation, one nonce inversion per batch, zero allocs per signature\",\n"
+    printf "      \"hardened = the same one-shot on a hardened key: masked full-table scans over the width-WCombCT split comb, branchless exceptional cases; the mod-n steps are those of the fast path\",\n"
+    printf "      \"hardenedBatch32 = engine.BatchSign with WithConstTime: hardened evaluation; the batched normalisation and the batched nonce inversion still shared\",\n"
     printf "      \"hardened_vs_fast is gated at <= 3.0x: the documented ceiling for the constant-time countermeasures (see README, Hardened mode)\"\n"
     printf "    ]\n"
     printf "  },\n"
