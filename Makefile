@@ -133,7 +133,7 @@ fuzz:
 # Zero-alloc guards: AllocsPerRun is meaningless under -race (the
 # detector allocates), so these run in their own non-race pass.
 alloc:
-	$(GO) test ./internal/core ./internal/engine ./internal/gf233 ./internal/koblitz ./cmd/eccserve -run 'TestZeroAlloc' -count=1
+	$(GO) test ./internal/core ./internal/ec ./internal/engine ./internal/gf233 ./internal/koblitz ./cmd/eccserve -run 'TestZeroAlloc' -count=1
 
 # Public-surface guards: the exported-API golden test (regenerate with
 # -update-api after an intentional change), interface conformance, the

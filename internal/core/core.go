@@ -117,15 +117,16 @@ func scalarMultDigits64[T koblitz.Digit](digits []T, table []ec.Affine64) ec.LD6
 		if d == 0 {
 			continue
 		}
-		q = q.FrobeniusN(k)
+		q.FrobeniusN(k)
 		k = 0
 		if d > 0 {
-			q = q.AddMixed(table[d>>1])
+			q.AddMixed(&table[d>>1])
 		} else {
-			q = q.SubMixed(table[(-d)>>1])
+			q.SubMixed(&table[(-d)>>1])
 		}
 	}
-	return q.FrobeniusN(k)
+	q.FrobeniusN(k)
+	return q
 }
 
 // ScalarMult computes k·P with the paper's random-point method: partial

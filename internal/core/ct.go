@@ -23,10 +23,15 @@ import (
 //     masked selects instead of early returns.
 //
 // Field-level behaviour is inherited from the backend: the CLMUL
-// backend is a fixed instruction sequence; without CLMUL, Mul64 looks
+// backend is a fixed instruction sequence; without CLMUL, MulTo looks
 // table rows up by operand nibbles (see README, "Hardened mode").
 
 // --- masked helpers over gf233.Elem64 ---
+//
+// Like the variable-time LD64 methods, the constant-time kernels below
+// work in place: each writes its result through a pointer, and every
+// field operation runs on the pointer forms gf233.MulTo, SqrTo and
+// AddTo.
 
 // ctEqU returns all-ones if a == b.
 func ctEqU(a, b uint64) uint64 {
@@ -35,102 +40,105 @@ func ctEqU(a, b uint64) uint64 {
 }
 
 // ctIsZeroElem returns all-ones if e == 0.
-func ctIsZeroElem(e gf233.Elem64) uint64 {
+func ctIsZeroElem(e *gf233.Elem64) uint64 {
 	x := e[0] | e[1] | e[2] | e[3]
 	return ((x | -x) >> 63) - 1
 }
 
-// ctSelElem returns a when m is all-ones, b when m is zero.
-func ctSelElem(m uint64, a, b gf233.Elem64) gf233.Elem64 {
-	var z gf233.Elem64
-	for i := range z {
-		z[i] = a[i]&m | b[i]&^m
-	}
-	return z
-}
-
-// ctSelLD is the LD64 triple select.
-func ctSelLD(m uint64, a, b ec.LD64) ec.LD64 {
-	return ec.LD64{
-		X: ctSelElem(m, a.X, b.X),
-		Y: ctSelElem(m, a.Y, b.Y),
-		Z: ctSelElem(m, a.Z, b.Z),
-	}
-}
-
-// ctDouble is the branchless LD doubling: the exact formula of
-// LD64.Double with the early returns removed. Z = 0 (infinity)
-// propagates as Z3 = X²Z² = 0, so no special case is needed; X = 0
-// cannot occur for prime-order subgroup points.
-func ctDouble(p ec.LD64) ec.LD64 {
-	return ctDoubleZ2(p, gf233.Sqr64(p.Z))
-}
-
-// ctDoubleZ2 is ctDouble with Z² supplied by a caller that has already
-// computed it (ctAddMixed squares the same Z for its own formula).
-func ctDoubleZ2(p ec.LD64, z2 gf233.Elem64) ec.LD64 {
-	x2 := gf233.Sqr64(p.X)
-	z4 := gf233.Sqr64(z2)
-	x4 := gf233.Sqr64(x2)
-	y2 := gf233.Sqr64(p.Y)
-	z3 := gf233.Mul64(x2, z2)
-	x3 := gf233.Add64(x4, z4)
-	y3 := gf233.Add64(gf233.Mul64(z4, z3), gf233.Mul64(x3, gf233.Add64(y2, z4)))
-	return ec.LD64{X: x3, Y: y3, Z: z3}
-}
-
-// ctAddMixed is the branchless mixed addition p + (qx, qy): the
-// general LD formula computed unconditionally, with the two exceptional
-// cases folded back in by masked selects — p at infinity lifts the
-// affine operand, and the doubling case (B = A = 0 with p finite)
-// substitutes the branchless double. The remaining exceptional case
-// (q = −p, B = 0 and A ≠ 0) needs no fix-up: the general formula then
-// yields Z3 = 0, a valid representation of infinity.
-func ctAddMixed(p ec.LD64, qx, qy gf233.Elem64) ec.LD64 {
-	z12 := gf233.Sqr64(p.Z)
-	a := gf233.Add64(gf233.Mul64(qy, z12), p.Y)
-	b := gf233.Add64(gf233.Mul64(qx, p.Z), p.X)
-	c := gf233.Mul64(p.Z, b)
-	z3 := gf233.Sqr64(c)
-	d := gf233.Mul64(qx, z3)
-	b2 := gf233.Sqr64(b)
-	x3 := gf233.Add64(gf233.Sqr64(a), gf233.Mul64(c, gf233.Add64(a, b2)))
-	e := gf233.Mul64(a, c)
-	y3 := gf233.Add64(
-		gf233.Mul64(gf233.Add64(d, x3), gf233.Add64(e, z3)),
-		gf233.Mul64(gf233.Add64(qx, qy), gf233.Sqr64(z3)),
-	)
-	res := ec.LD64{X: x3, Y: y3, Z: z3}
-	mInf := ctIsZeroElem(p.Z)
-	mDbl := ^mInf & ctIsZeroElem(b) & ctIsZeroElem(a)
-	return ctSel3LD(
-		mDbl, ctDoubleZ2(p, z12),
-		mInf, ec.LD64{X: qx, Y: qy, Z: gf233.One64},
-		res,
-	)
-}
-
-// ctSel3LD returns a when ma is all-ones, b when mb is all-ones, and c
-// otherwise; ma and mb must be disjoint. One fused pass instead of two
-// chained ctSelLDs — the exceptional-case fix-up runs on every masked
-// addition, so the extra pass shows up.
-func ctSel3LD(ma uint64, a ec.LD64, mb uint64, b, c ec.LD64) ec.LD64 {
-	mc := ^(ma | mb)
-	var z ec.LD64
+// ctSelLD sets z to a when m is all-ones and leaves it when m is zero,
+// reading and writing every word either way.
+func ctSelLD(z *ec.LD64, m uint64, a *ec.LD64) {
 	for i := range z.X {
-		z.X[i] = a.X[i]&ma | b.X[i]&mb | c.X[i]&mc
-		z.Y[i] = a.Y[i]&ma | b.Y[i]&mb | c.Y[i]&mc
-		z.Z[i] = a.Z[i]&ma | b.Z[i]&mb | c.Z[i]&mc
+		z.X[i] = a.X[i]&m | z.X[i]&^m
+		z.Y[i] = a.Y[i]&m | z.Y[i]&^m
+		z.Z[i] = a.Z[i]&m | z.Z[i]&^m
 	}
-	return z
 }
 
-// ctScanTable reads every entry of the affine table and returns the
-// one at index idx. The access pattern is independent of idx.
-func ctScanTable(tab []ec.Affine64, idx uint64) (x, y gf233.Elem64) {
-	// The accumulators live in scalar locals: with the array return
-	// values accumulated directly, the compiler keeps them in memory
-	// and this loop is the single hottest in the hardened sign.
+// ctDouble sets p = 2p with the branchless LD doubling: the exact
+// formula of LD64.Double with the early returns removed. Z = 0
+// (infinity) propagates as Z3 = X²Z² = 0, so no special case is
+// needed; X = 0 cannot occur for prime-order subgroup points.
+func ctDouble(p *ec.LD64) {
+	var z2 gf233.Elem64
+	gf233.SqrTo(&z2, &p.Z)
+	ctDoubleZ2(p, p, &z2)
+}
+
+// ctDoubleZ2 sets dst = 2p with Z² supplied by a caller that has
+// already computed it (ctAddMixed squares the same Z for its own
+// formula). dst may alias p: p is read in full before dst is written.
+func ctDoubleZ2(dst, p *ec.LD64, z2 *gf233.Elem64) {
+	var x2, z4, t gf233.Elem64
+	gf233.SqrTo(&x2, &p.X)
+	gf233.SqrTo(&t, &p.Y)
+	gf233.SqrTo(&z4, z2)
+	gf233.AddTo(&t, &t, &z4) // Y² + Z⁴
+	gf233.MulTo(&dst.Z, &x2, z2)
+	gf233.SqrTo(&dst.X, &x2)
+	gf233.AddTo(&dst.X, &dst.X, &z4)
+	gf233.MulTo(&t, &t, &dst.X)
+	gf233.MulTo(&dst.Y, &z4, &dst.Z)
+	gf233.AddTo(&dst.Y, &dst.Y, &t)
+}
+
+// ctAddMixed sets r = p + (qx, qy) without a branch: the general LD
+// formula computed unconditionally, with the two exceptional cases
+// folded back in by masked selects — p at infinity lifts the affine
+// operand, and the doubling case (B = A = 0 with p finite) substitutes
+// the branchless double. The remaining exceptional case (q = −p, B = 0
+// and A ≠ 0) needs no fix-up: the general formula then yields Z3 = 0,
+// a valid representation of infinity. r must not alias p.
+func ctAddMixed(r, p *ec.LD64, qx, qy *gf233.Elem64) {
+	var z12, a, b, c, t gf233.Elem64
+	gf233.SqrTo(&z12, &p.Z)
+	gf233.MulTo(&a, qy, &z12)
+	gf233.AddTo(&a, &a, &p.Y) // A
+	gf233.MulTo(&b, qx, &p.Z)
+	gf233.AddTo(&b, &b, &p.X) // B
+	mInf := ctIsZeroElem(&p.Z)
+	mDbl := ^mInf & ctIsZeroElem(&b) & ctIsZeroElem(&a)
+	gf233.MulTo(&c, &p.Z, &b) // C
+	gf233.SqrTo(&r.Z, &c)     // Z3
+	gf233.SqrTo(&b, &b)
+	gf233.AddTo(&b, &b, &a)
+	gf233.MulTo(&b, &b, &c)
+	gf233.SqrTo(&r.X, &a)
+	gf233.AddTo(&r.X, &r.X, &b) // X3
+	gf233.MulTo(&a, &a, &c)
+	gf233.AddTo(&a, &a, &r.Z)
+	gf233.MulTo(&t, qx, &r.Z)
+	gf233.AddTo(&t, &t, &r.X)
+	gf233.MulTo(&a, &a, &t)
+	gf233.SqrTo(&t, &r.Z)
+	gf233.AddTo(&c, qx, qy)
+	gf233.MulTo(&t, &t, &c)
+	gf233.AddTo(&r.Y, &a, &t) // Y3
+	var dbl ec.LD64
+	ctDoubleZ2(&dbl, p, &z12)
+	lift := ec.LD64{X: *qx, Y: *qy, Z: gf233.One64}
+	ctSel3LD(r, mDbl, &dbl, mInf, &lift)
+}
+
+// ctSel3LD sets z to a when ma is all-ones, to b when mb is all-ones,
+// and leaves it otherwise; ma and mb must be disjoint. One fused pass
+// instead of two chained ctSelLDs — the exceptional-case fix-up runs
+// on every masked addition, so the extra pass shows up.
+func ctSel3LD(z *ec.LD64, ma uint64, a *ec.LD64, mb uint64, b *ec.LD64) {
+	mz := ^(ma | mb)
+	for i := range z.X {
+		z.X[i] = a.X[i]&ma | b.X[i]&mb | z.X[i]&mz
+		z.Y[i] = a.Y[i]&ma | b.Y[i]&mb | z.Y[i]&mz
+		z.Z[i] = a.Z[i]&ma | b.Z[i]&mb | z.Z[i]&mz
+	}
+}
+
+// ctScanTable reads every entry of the affine table and writes the one
+// at index idx to (x, y). The access pattern is independent of idx.
+func ctScanTable(x, y *gf233.Elem64, tab []ec.Affine64, idx uint64) {
+	// The accumulators live in scalar locals: with the outputs
+	// accumulated directly, the compiler keeps them in memory and this
+	// loop is the single hottest in the hardened sign.
 	var x0, x1, x2, x3, y0, y1, y2, y3 uint64
 	for j := range tab {
 		e := &tab[j]
@@ -144,7 +152,8 @@ func ctScanTable(tab []ec.Affine64, idx uint64) (x, y gf233.Elem64) {
 		y2 |= e.Y[2] & m
 		y3 |= e.Y[3] & m
 	}
-	return gf233.Elem64{x0, x1, x2, x3}, gf233.Elem64{y0, y1, y2, y3}
+	*x = gf233.Elem64{x0, x1, x2, x3}
+	*y = gf233.Elem64{y0, y1, y2, y3}
 }
 
 // loadScalarWords stages 0 ≤ k < 2^240 into the Scratch's fixed-width
@@ -210,21 +219,26 @@ func ctSwapLegs(m uint64, x1, z1, x2, z2 *gf233.Elem64) {
 // into leg 2 (their difference is always P, so the addition needs only
 // x), doubles leg 1 and swaps back: 5M + 4S whatever the bit. The bit
 // is addressed by the public loop index alone.
-func (s *Scratch) ladder(x gf233.Elem64) (x1, z1, x2, z2 gf233.Elem64) {
-	x1, x2, z2 = gf233.One64, x, gf233.One64
+func (s *Scratch) ladder(x *gf233.Elem64) (x1, z1, x2, z2 gf233.Elem64) {
+	x1, x2, z2 = gf233.One64, *x, gf233.One64
+	var a, b gf233.Elem64
 	for i := ladderBits - 1; i >= 0; i-- {
 		m := -(s.kw[i>>6] >> (i & 63) & 1)
 		ctSwapLegs(m, &x1, &z1, &x2, &z2)
 		// Leg 2 ← leg 1 + leg 2: Z = (X1·Z2 + X2·Z1)², X = x·Z + X1·Z2·X2·Z1.
-		a := gf233.Mul64(x1, z2)
-		b := gf233.Mul64(x2, z1)
-		z2 = gf233.Sqr64(gf233.Add64(a, b))
-		x2 = gf233.Add64(gf233.Mul64(x, z2), gf233.Mul64(a, b))
+		gf233.MulTo(&a, &x1, &z2)
+		gf233.MulTo(&b, &x2, &z1)
+		gf233.AddTo(&z2, &a, &b)
+		gf233.SqrTo(&z2, &z2)
+		gf233.MulTo(&a, &a, &b)
+		gf233.MulTo(&x2, x, &z2)
+		gf233.AddTo(&x2, &x2, &a)
 		// Leg 1 ← 2·leg 1 (b = 1): Z = X1²·Z1², X = X1⁴ + Z1⁴ = (X1² + Z1²)².
-		xx := gf233.Sqr64(x1)
-		zz := gf233.Sqr64(z1)
-		z1 = gf233.Mul64(xx, zz)
-		x1 = gf233.Sqr64(gf233.Add64(xx, zz))
+		gf233.SqrTo(&x1, &x1)
+		gf233.SqrTo(&z1, &z1)
+		gf233.AddTo(&a, &x1, &z1)
+		gf233.MulTo(&z1, &x1, &z1)
+		gf233.SqrTo(&x1, &a)
 		ctSwapLegs(m, &x1, &z1, &x2, &z2)
 	}
 	return
@@ -240,7 +254,8 @@ func (s *Scratch) LadderX(k *big.Int, p ec.Affine) (x, z gf233.Elem64) {
 		return gf233.One64, gf233.Zero64
 	}
 	s.loadScalarWords(s.ctReduceScalar(k, curveOrder))
-	x, z, _, _ = s.ladder(gf233.ToElem64(p.X))
+	px := gf233.ToElem64(p.X)
+	x, z, _, _ = s.ladder(&px)
 	return x, z
 }
 
@@ -252,7 +267,8 @@ func LadderX(k *big.Int, p ec.Affine) (x gf233.Elem, ok bool) {
 	defer putScratch(s)
 	lx, lz := s.LadderX(k, p)
 	zi, ok := gf233.InvItohTsujii64(lz)
-	return gf233.Mul64(lx, zi).Elem(), ok
+	gf233.MulTo(&lx, &lx, &zi)
+	return lx.Elem(), ok
 }
 
 // ScalarMultLadder computes k·P for any integer k and any point P on
@@ -279,8 +295,8 @@ func ScalarMultLadder(k *big.Int, p ec.Affine) ec.Affine {
 		return ec.Infinity
 	}
 	s.loadScalarWords(kr)
-	x1, z1, x2, z2 := s.ladder(q.X)
-	return ladderXY(q, x1, z1, x2, z2).Affine()
+	x1, z1, x2, z2 := s.ladder(&q.X)
+	return ladderXY(&q, &x1, &z1, &x2, &z2).Affine()
 }
 
 // ladderXY recovers the affine k·P from the ladder legs (Alg. 3.40
@@ -288,7 +304,7 @@ func ScalarMultLadder(k *big.Int, p ec.Affine) ec.Affine {
 //
 //	x_k = X1/Z1
 //	y_k = (x + x_k)·[(X1 + x·Z1)(X2 + x·Z2) + (x² + y)·Z1·Z2] / (x·Z1·Z2) + y
-func ladderXY(p ec.Affine64, x1, z1, x2, z2 gf233.Elem64) ec.Affine64 {
+func ladderXY(p *ec.Affine64, x1, z1, x2, z2 *gf233.Elem64) ec.Affine64 {
 	if z1.IsZero() {
 		return ec.Affine64{Inf: true}
 	}
@@ -296,17 +312,27 @@ func ladderXY(p ec.Affine64, x1, z1, x2, z2 gf233.Elem64) ec.Affine64 {
 		// (k+1)·P = ∞, so k·P = −P.
 		return p.Neg()
 	}
-	x, y := p.X, p.Y
-	z1z2 := gf233.Mul64(z1, z2)
-	xz2 := gf233.Mul64(x, z2)
-	inv, _ := gf233.InvItohTsujii64(gf233.Mul64(x, z1z2))
-	xk := gf233.Mul64(gf233.Mul64(x1, xz2), inv)
-	t1 := gf233.Add64(x1, gf233.Mul64(x, z1))
-	t2 := gf233.Add64(x2, xz2)
-	t3 := gf233.Add64(gf233.Sqr64(x), y)
-	num := gf233.Add64(gf233.Mul64(t1, t2), gf233.Mul64(t3, z1z2))
-	yk := gf233.Add64(gf233.Mul64(gf233.Add64(x, xk), gf233.Mul64(num, inv)), y)
-	return ec.Affine64{X: xk, Y: yk}
+	x, y := &p.X, &p.Y
+	var z1z2, xz2, inv, xk, t, u gf233.Elem64
+	gf233.MulTo(&z1z2, z1, z2)
+	gf233.MulTo(&xz2, x, z2)
+	gf233.MulTo(&inv, x, &z1z2)
+	inv, _ = gf233.InvItohTsujii64(inv)
+	gf233.MulTo(&xk, x1, &xz2)
+	gf233.MulTo(&xk, &xk, &inv)
+	gf233.MulTo(&t, x, z1)
+	gf233.AddTo(&t, &t, x1)
+	gf233.AddTo(&u, x2, &xz2)
+	gf233.MulTo(&t, &t, &u) // (X1 + x·Z1)(X2 + x·Z2)
+	gf233.SqrTo(&u, x)
+	gf233.AddTo(&u, &u, y)
+	gf233.MulTo(&u, &u, &z1z2)
+	gf233.AddTo(&t, &t, &u) // the bracket
+	gf233.MulTo(&t, &t, &inv)
+	gf233.AddTo(&u, x, &xk)
+	gf233.MulTo(&t, &t, &u)
+	gf233.AddTo(&t, &t, y)
+	return ec.Affine64{X: xk, Y: t}
 }
 
 // ScalarBaseMultCT computes k·G on the generator comb with a
@@ -386,24 +412,27 @@ func (cc *combCT) scalarMultCTLD64(s *Scratch, k *big.Int) ec.LD64 {
 	s.loadScalarWords(kr)
 	q := ec.LD64Infinity
 	for col := cc.e - 1; col >= 0; col-- {
-		q = ctDouble(q)
+		ctDouble(&q)
 		if hiCol := col + cc.e; hiCol < c.d {
-			q = ctAddColumn(s, q, cc.hi, hiCol, c.d, c.w)
+			ctAddColumn(s, &q, cc.hi, hiCol, c.d, c.w)
 		}
-		q = ctAddColumn(s, q, c.table64, col, c.d, c.w)
+		ctAddColumn(s, &q, c.table64, col, c.d, c.w)
 	}
 	return q
 }
 
-// ctAddColumn folds one comb column into the accumulator with a full
+// ctAddColumn folds one comb column into the accumulator q with a full
 // masked table scan.
-func ctAddColumn(s *Scratch, q ec.LD64, tab []ec.Affine64, col, d, w int) ec.LD64 {
+func ctAddColumn(s *Scratch, q *ec.LD64, tab []ec.Affine64, col, d, w int) {
 	u := s.ctColumn(col, d, w)
 	nz := ^(((u | -u) >> 63) - 1)
 	// Table index u−1; a zero column scans for dummy index 0.
 	idx := (u - 1) & nz
-	ex, ey := ctScanTable(tab, idx)
-	return ctSelLD(nz, ctAddMixed(q, ex, ey), q)
+	var ex, ey gf233.Elem64
+	ctScanTable(&ex, &ey, tab, idx)
+	var r ec.LD64
+	ctAddMixed(&r, q, &ex, &ey)
+	ctSelLD(q, nz, &r)
 }
 
 // ScalarBaseMultCT is the package-level entry point (pooled Scratch).

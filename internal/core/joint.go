@@ -79,22 +79,23 @@ func jointLD64(d1 []int16, t1 []ec.Affine64, d2 []int16, t2 []ec.Affine64) ec.LD
 		if a == 0 && b == 0 {
 			continue
 		}
-		q = q.FrobeniusN(k)
+		q.FrobeniusN(k)
 		k = 0
 		switch {
 		case a > 0:
-			q = q.AddMixed(t1[a>>1])
+			q.AddMixed(&t1[a>>1])
 		case a < 0:
-			q = q.SubMixed(t1[(-a)>>1])
+			q.SubMixed(&t1[(-a)>>1])
 		}
 		switch {
 		case b > 0:
-			q = q.AddMixed(t2[b>>1])
+			q.AddMixed(&t2[b>>1])
 		case b < 0:
-			q = q.SubMixed(t2[(-b)>>1])
+			q.SubMixed(&t2[(-b)>>1])
 		}
 	}
-	return q.FrobeniusN(k)
+	q.FrobeniusN(k)
+	return q
 }
 
 // JointScalarMultLD64 computes u1·G + u2·Q on this Scratch, left

@@ -21,12 +21,12 @@ import (
 func eagerDigits64[T koblitz.Digit](digits []T, table []ec.Affine64) ec.LD64 {
 	q := ec.LD64Infinity
 	for i := len(digits) - 1; i >= 0; i-- {
-		q = q.FrobeniusN(1)
+		q.FrobeniusN(1)
 		switch d := digits[i]; {
 		case d > 0:
-			q = q.AddMixed(table[d>>1])
+			q.AddMixed(&table[d>>1])
 		case d < 0:
-			q = q.SubMixed(table[(-d)>>1])
+			q.SubMixed(&table[(-d)>>1])
 		}
 	}
 	return q
@@ -36,21 +36,21 @@ func eagerDigits64[T koblitz.Digit](digits []T, table []ec.Affine64) ec.LD64 {
 func eagerJoint(d1 []int16, t1 []ec.Affine64, d2 []int16, t2 []ec.Affine64) ec.LD64 {
 	q := ec.LD64Infinity
 	for i := max(len(d1), len(d2)) - 1; i >= 0; i-- {
-		q = q.FrobeniusN(1)
+		q.FrobeniusN(1)
 		if i < len(d1) {
 			switch d := d1[i]; {
 			case d > 0:
-				q = q.AddMixed(t1[d>>1])
+				q.AddMixed(&t1[d>>1])
 			case d < 0:
-				q = q.SubMixed(t1[(-d)>>1])
+				q.SubMixed(&t1[(-d)>>1])
 			}
 		}
 		if i < len(d2) {
 			switch d := d2[i]; {
 			case d > 0:
-				q = q.AddMixed(t2[d>>1])
+				q.AddMixed(&t2[d>>1])
 			case d < 0:
-				q = q.SubMixed(t2[(-d)>>1])
+				q.SubMixed(&t2[(-d)>>1])
 			}
 		}
 	}
@@ -66,11 +66,11 @@ func (ms *MultiScalar) eagerEval() ec.LD64 {
 	}
 	acc := ec.LD64Infinity
 	for i := max(ms.maxT, ms.maxP) - 1; i >= 0; i-- {
-		acc = acc.FrobeniusN(1)
+		acc.FrobeniusN(1)
 		if i < ms.maxP {
 			for u := range ms.buckets {
 				if !ms.buckets[u].IsInfinity() {
-					ms.buckets[u] = ms.buckets[u].FrobeniusN(1)
+					ms.buckets[u].FrobeniusN(1)
 				}
 			}
 			for j := range pts {
@@ -80,9 +80,9 @@ func (ms *MultiScalar) eagerEval() ec.LD64 {
 				}
 				switch d := p.digits[i]; {
 				case d > 0:
-					ms.buckets[d>>1] = ms.buckets[d>>1].AddMixed(p.pt)
+					ms.buckets[d>>1].AddMixed(&p.pt)
 				case d < 0:
-					ms.buckets[(-d)>>1] = ms.buckets[(-d)>>1].SubMixed(p.pt)
+					ms.buckets[(-d)>>1].SubMixed(&p.pt)
 				}
 			}
 		}
@@ -93,14 +93,14 @@ func (ms *MultiScalar) eagerEval() ec.LD64 {
 			}
 			switch d := t.digits[i]; {
 			case d > 0:
-				acc = acc.AddMixed(t.table[d>>1])
+				acc.AddMixed(&t.table[d>>1])
 			case d < 0:
-				acc = acc.SubMixed(t.table[(-d)>>1])
+				acc.SubMixed(&t.table[(-d)>>1])
 			}
 		}
 	}
 	if ms.np > 0 {
-		acc = ms.foldBuckets(acc)
+		ms.foldBuckets(&acc)
 	}
 	return acc
 }

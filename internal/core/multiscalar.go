@@ -207,13 +207,13 @@ func (ms *MultiScalar) Eval() ec.LD64 {
 				u := max(d, -d) >> 1
 				b := &ms.buckets[u]
 				if !b.IsInfinity() {
-					*b = b.FrobeniusN(kB[u])
+					b.FrobeniusN(kB[u])
 				}
 				kB[u] = 0
 				if d > 0 {
-					*b = b.AddMixed(p.pt)
+					b.AddMixed(&p.pt)
 				} else {
-					*b = b.SubMixed(p.pt)
+					b.SubMixed(&p.pt)
 				}
 			}
 		}
@@ -222,25 +222,25 @@ func (ms *MultiScalar) Eval() ec.LD64 {
 			if i >= len(t.digits) || t.digits[i] == 0 {
 				continue
 			}
-			acc = acc.FrobeniusN(kAcc)
+			acc.FrobeniusN(kAcc)
 			kAcc = 0
 			if d := t.digits[i]; d > 0 {
-				acc = acc.AddMixed(t.table[d>>1])
+				acc.AddMixed(&t.table[d>>1])
 			} else {
-				acc = acc.SubMixed(t.table[(-d)>>1])
+				acc.SubMixed(&t.table[(-d)>>1])
 			}
 		}
 	}
 	// Settle what the chains still owe for the positions after their
 	// last addition.
-	acc = acc.FrobeniusN(kAcc)
+	acc.FrobeniusN(kAcc)
 	if ms.np > 0 {
 		for u := range ms.buckets {
 			if !ms.buckets[u].IsInfinity() {
-				ms.buckets[u] = ms.buckets[u].FrobeniusN(kB[u])
+				ms.buckets[u].FrobeniusN(kB[u])
 			}
 		}
-		acc = ms.foldBuckets(acc)
+		ms.foldBuckets(&acc)
 	}
 	return acc
 }
@@ -251,7 +251,7 @@ func (ms *MultiScalar) Eval() ec.LD64 {
 // both tiny), using B_u and τB_u as mixed-addition operands. τ and the
 // α endomorphisms commute, so applying α after the per-position τ
 // chain is exact.
-func (ms *MultiScalar) foldBuckets(acc ec.LD64) ec.LD64 {
+func (ms *MultiScalar) foldBuckets(acc *ec.LD64) {
 	ms.sc.normalize64(ms.bA[:], ms.buckets[:])
 	alphaA, alphaB := koblitz.AlphaCoeffs(msBucketW)
 	maxBit := 0
@@ -263,33 +263,36 @@ func (ms *MultiScalar) foldBuckets(acc ec.LD64) ec.LD64 {
 	}
 	t := ec.LD64Infinity
 	for bit := maxBit - 1; bit >= 0; bit-- {
-		t = t.Double()
+		t.Double()
 		for u := range ms.bA {
-			if ms.bA[u].Inf {
+			p := &ms.bA[u]
+			if p.Inf {
 				continue
 			}
 			if a := alphaA[u]; abs64(a)>>bit&1 == 1 {
-				p := ms.bA[u]
 				if a < 0 {
-					p = p.Neg()
+					t.SubMixed(p)
+				} else {
+					t.AddMixed(p)
 				}
-				t = t.AddMixed(p)
 			}
 			if b := alphaB[u]; abs64(b)>>bit&1 == 1 {
 				// τ(−P) = −τ(P): squaring is additive in char 2.
-				p := ms.bA[u].Frobenius()
+				tp := p.Frobenius()
 				if b < 0 {
-					p = p.Neg()
+					t.SubMixed(&tp)
+				} else {
+					t.AddMixed(&tp)
 				}
-				t = t.AddMixed(p)
 			}
 		}
 	}
 	if t.IsInfinity() {
-		return acc
+		return
 	}
 	// One inversion folds the bucket sum back into the accumulator; it
 	// is per-batch, not per-request, so it amortises with everything
 	// else.
-	return acc.AddMixed(t.Affine())
+	ta := t.Affine()
+	acc.AddMixed(&ta)
 }

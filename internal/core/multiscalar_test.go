@@ -15,9 +15,9 @@ import (
 func naiveMult(c uint64, p ec.Affine64) ec.Affine64 {
 	acc := ec.LD64Infinity
 	for i := 63; i >= 0; i-- {
-		acc = acc.Double()
+		acc.Double()
 		if c>>i&1 == 1 {
-			acc = acc.AddMixed(p)
+			acc.AddMixed(&p)
 		}
 	}
 	return acc.Affine()

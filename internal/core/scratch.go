@@ -103,15 +103,16 @@ func (s *Scratch) normalize64(dst []ec.Affine64, pts []ec.LD64) {
 	}
 	gf233.InvBatch64(zs, inv)
 	for i := range pts {
-		if pts[i].IsInfinity() {
-			dst[i] = ec.Affine64{Inf: true}
+		p, d := &pts[i], &dst[i]
+		if p.IsInfinity() {
+			*d = ec.Affine64{Inf: true}
 			continue
 		}
-		zi := zs[i]
-		dst[i] = ec.Affine64{
-			X: gf233.Mul64(pts[i].X, zi),
-			Y: gf233.Mul64(pts[i].Y, gf233.Sqr64(zi)),
-		}
+		var zi2 gf233.Elem64
+		gf233.SqrTo(&zi2, &zs[i])
+		gf233.MulTo(&d.X, &p.X, &zs[i])
+		gf233.MulTo(&d.Y, &p.Y, &zi2)
+		d.Inf = false
 	}
 }
 
@@ -155,10 +156,10 @@ func (s *Scratch) alphaTables(dst *[]ec.Affine64, ps []ec.Affine64, w int) []ec.
 	mult := Grow(&s.mult, 2*m*n)
 	copy(mult, ps)
 	ld := Grow(&s.ld, (m-1)*n)
-	for i, p := range ps {
-		q := ec.FromAffine64(p)
+	for i := range ps {
+		q := ec.FromAffine64(ps[i])
 		for j := 0; j < m-1; j++ {
-			q = q.AddMixed(p)
+			q.AddMixed(&ps[i])
 			ld[j*n+i] = q
 		}
 	}
@@ -173,7 +174,7 @@ func (s *Scratch) alphaTables(dst *[]ec.Affine64, ps []ec.Affine64, w int) []ec.
 			x2 := multiple(mult[m*n+i:], n, alphaB[u])
 			zs[i*t+u] = gf233.Zero64
 			if !x1.Inf && !x2.Inf {
-				zs[i*t+u] = gf233.Add64(x1.X, x2.X)
+				gf233.AddTo(&zs[i*t+u], &x1.X, &x2.X)
 			}
 		}
 	}
@@ -183,20 +184,31 @@ func (s *Scratch) alphaTables(dst *[]ec.Affine64, ps []ec.Affine64, w int) []ec.
 		for u := range alphaA {
 			x1 := multiple(mult[i:], n, alphaA[u])
 			x2 := multiple(mult[m*n+i:], n, alphaB[u])
-			switch inv := zs[i*t+u]; {
+			e := &table[i*t+u]
+			switch inv := &zs[i*t+u]; {
 			case x1.Inf:
-				table[i*t+u] = x2
+				*e = x2
 			case x2.Inf:
-				table[i*t+u] = x1
+				*e = x1
 			case inv.IsZero():
-				table[i*t+u] = ec.FromAffine64(x1).AddMixed(x2).Affine()
+				q := ec.FromAffine64(x1)
+				q.AddMixed(&x2)
+				*e = q.Affine()
 			default:
 				// λ = (y₁+y₂)/(x₁+x₂), x₃ = λ²+λ+x₁+x₂ (a = 0),
 				// y₃ = λ(x₁+x₃)+x₃+y₁.
-				l := gf233.Mul64(gf233.Add64(x1.Y, x2.Y), inv)
-				x3 := gf233.Add64(gf233.Add64(gf233.Sqr64(l), l), gf233.Add64(x1.X, x2.X))
-				y3 := gf233.Add64(gf233.Add64(gf233.Mul64(l, gf233.Add64(x1.X, x3)), x3), x1.Y)
-				table[i*t+u] = ec.Affine64{X: x3, Y: y3}
+				var l gf233.Elem64
+				gf233.AddTo(&l, &x1.Y, &x2.Y)
+				gf233.MulTo(&l, &l, inv)
+				gf233.SqrTo(&e.X, &l)
+				gf233.AddTo(&e.X, &e.X, &l)
+				gf233.AddTo(&e.X, &e.X, &x1.X)
+				gf233.AddTo(&e.X, &e.X, &x2.X)
+				gf233.AddTo(&e.Y, &x1.X, &e.X)
+				gf233.MulTo(&e.Y, &e.Y, &l)
+				gf233.AddTo(&e.Y, &e.Y, &e.X)
+				gf233.AddTo(&e.Y, &e.Y, &x1.Y)
+				e.Inf = false
 			}
 		}
 	}
@@ -274,9 +286,9 @@ func (c *Comb) scalarMultLD64(s *Scratch, k *big.Int) ec.LD64 {
 	}
 	q := ec.LD64Infinity
 	for col := c.d - 1; col >= 0; col-- {
-		q = q.Double()
+		q.Double()
 		if u := c.column(r, col); u != 0 {
-			q = q.AddMixed(c.table64[u-1])
+			q.AddMixed(&c.table64[u-1])
 		}
 	}
 	return q

@@ -71,8 +71,13 @@ func (p Affine) OnCurve() bool {
 	// arithmetic runs on. Left: y² + xy. Right: x³ + ax² + b = x³ + 1
 	// since a = 0 and b = 1.
 	q := p.To64()
-	left := gf233.Add64(gf233.Sqr64(q.Y), gf233.Mul64(q.X, q.Y))
-	right := gf233.Add64(gf233.Mul64(gf233.Sqr64(q.X), q.X), gf233.One64)
+	var left, right gf233.Elem64
+	gf233.MulTo(&left, &q.X, &q.Y)
+	gf233.SqrTo(&q.Y, &q.Y)
+	gf233.AddTo(&left, &left, &q.Y)
+	gf233.SqrTo(&right, &q.X)
+	gf233.MulTo(&right, &right, &q.X)
+	gf233.AddTo(&right, &right, &gf233.One64)
 	return left == right
 }
 

@@ -58,9 +58,15 @@ func TestLD64MatchesReference(t *testing.T) {
 		lp64 := toLD64(lp)
 		q64 := q.To64()
 
-		sameLD(t, "Double", lp64.Double(), lp.Double())
-		sameLD(t, "AddMixed", lp64.AddMixed(q64), lp.AddMixed(q))
-		sameLD(t, "SubMixed", lp64.SubMixed(q64), lp.SubMixed(q))
+		d := lp64
+		d.Double()
+		sameLD(t, "Double", d, lp.Double())
+		a := lp64
+		a.AddMixed(&q64)
+		sameLD(t, "AddMixed", a, lp.AddMixed(q))
+		a = lp64
+		a.SubMixed(&q64)
+		sameLD(t, "SubMixed", a, lp.SubMixed(q))
 		// τ^k in one kernel call against k reference τ's, across the
 		// n = 0 and single-step edges and a whole field-size chain.
 		ref := lp
@@ -69,7 +75,9 @@ func TestLD64MatchesReference(t *testing.T) {
 			for ; done < k; done++ {
 				ref = ref.Frobenius()
 			}
-			sameLD(t, fmt.Sprintf("FrobeniusN(%d)", k), lp64.FrobeniusN(k), ref)
+			f := lp64
+			f.FrobeniusN(k)
+			sameLD(t, fmt.Sprintf("FrobeniusN(%d)", k), f, ref)
 		}
 		if got := lp64.Affine().Affine(); !got.Equal(p) {
 			t.Fatalf("Affine round trip: %v, want %v", got, p)
@@ -83,26 +91,38 @@ func TestLD64ExceptionalCases(t *testing.T) {
 	lp := FromAffine64(p.To64())
 
 	// Identity operands.
-	if !LD64Infinity.Double().IsInfinity() {
+	inf := LD64Infinity
+	if inf.Double(); !inf.IsInfinity() {
 		t.Fatal("2·∞ != ∞")
 	}
-	if got := LD64Infinity.FrobeniusN(5); got != LD64Infinity {
-		t.Fatalf("τ^5(∞) = %v, want (1, 0, 0)", got)
+	if inf.FrobeniusN(5); inf != LD64Infinity {
+		t.Fatalf("τ^5(∞) = %v, want (1, 0, 0)", inf)
 	}
-	sameLD(t, "∞+q", LD64Infinity.AddMixed(p.To64()), LDInfinity.AddMixed(p))
-	if !lp.AddMixed(Affine64{Inf: true}).Affine().Affine().Equal(p) {
+	p64 := p.To64()
+	inf.AddMixed(&p64)
+	sameLD(t, "∞+q", inf, LDInfinity.AddMixed(p))
+	q := lp
+	if q.AddMixed(&Affine64{Inf: true}); !q.Affine().Affine().Equal(p) {
 		t.Fatal("p + ∞ != p")
 	}
 
 	// q = p (mixed doubling) and q = -p (cancellation).
-	sameLD(t, "p+p", lp.AddMixed(p.To64()), FromAffine(p).AddMixed(p))
-	if !lp.AddMixed(p.To64().Neg()).IsInfinity() {
+	q = lp
+	q.AddMixed(&p64)
+	sameLD(t, "p+p", q, FromAffine(p).AddMixed(p))
+	q, neg := lp, p64.Neg()
+	if q.AddMixed(&neg); !q.IsInfinity() {
 		t.Fatal("p + (-p) != ∞")
+	}
+	q = lp
+	if q.SubMixed(&p64); !q.IsInfinity() {
+		t.Fatal("p - p != ∞")
 	}
 
 	// The order-2 point (0, 1) doubles to ∞.
 	two := Affine{X: gf233.Zero, Y: gf233.One}
-	if !FromAffine64(two.To64()).Double().IsInfinity() {
+	q = FromAffine64(two.To64())
+	if q.Double(); !q.IsInfinity() {
 		t.Fatal("doubling the order-2 point did not give ∞")
 	}
 
@@ -125,7 +145,7 @@ func BenchmarkFrobeniusN(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d/kernel", k), func(b *testing.B) {
 			q := p
 			for i := 0; i < b.N; i++ {
-				q = q.FrobeniusN(k)
+				q.FrobeniusN(k)
 			}
 		})
 		b.Run(fmt.Sprintf("k=%d/sqrn", k), func(b *testing.B) {
@@ -143,4 +163,42 @@ func BenchmarkFrobeniusN(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestZeroAllocLD64 pins the in-place point operations at 0 allocs/op
+// on both backends: their field temporaries live in the caller's frame
+// and reach the kernels by address, so nothing may move to the heap.
+func TestZeroAllocLD64(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	rnd := rand.New(rand.NewSource(23))
+	r := toLD64(randLD(randPoint64(rnd), rnd))
+	q := randPoint64(rnd).To64()
+	var sink Affine64
+	for _, be := range []gf233.Backend{gf233.Backend64, gf233.BackendCLMUL} {
+		t.Run(be.String(), func(t *testing.T) {
+			if !gf233.Supported(be) {
+				t.Skip("backend not supported on this CPU")
+			}
+			prev := gf233.SetBackend(be)
+			defer gf233.SetBackend(prev)
+			checks := []struct {
+				name string
+				f    func()
+			}{
+				{"Double", func() { r.Double() }},
+				{"AddMixed", func() { r.AddMixed(&q) }},
+				{"SubMixed", func() { r.SubMixed(&q) }},
+				{"FrobeniusN", func() { r.FrobeniusN(5) }},
+				{"Affine", func() { sink = r.Affine() }},
+			}
+			for _, c := range checks {
+				if allocs := testing.AllocsPerRun(200, c.f); allocs != 0 {
+					t.Errorf("%s: %.1f allocs/op, want 0", c.name, allocs)
+				}
+			}
+		})
+	}
+	_ = sink
 }

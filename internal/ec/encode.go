@@ -114,17 +114,21 @@ func Decompress(x gf233.Elem, bit uint32) (Affine, error) {
 		// y² = b, so y = sqrt(b) = 1 for sect233k1.
 		return Affine{X: x, Y: gf233.Sqrt(B)}, nil
 	}
-	x64 := gf233.ToElem64(x)
-	x2i := gf233.MustInv64(gf233.Sqr64(x64))
-	c := gf233.Add64(x64, gf233.Mul64(gf233.ToElem64(B), x2i)) // a = 0
+	x64, b := gf233.ToElem64(x), gf233.ToElem64(B)
+	var c gf233.Elem64
+	gf233.SqrTo(&c, &x64)
+	c = gf233.MustInv64(c)
+	gf233.MulTo(&c, &b, &c)
+	gf233.AddTo(&c, &x64, &c) // x + a + b/x², a = 0
 	lam, ok := SolveQuadratic64(c)
 	if !ok {
 		return Infinity, ErrNotOnCurve
 	}
 	if uint32(lam[0]&1) != bit&1 {
-		lam = gf233.Add64(lam, gf233.One64)
+		gf233.AddTo(&lam, &lam, &gf233.One64)
 	}
-	p := Affine{X: x, Y: gf233.Mul64(lam, x64).Elem()}
+	gf233.MulTo(&lam, &lam, &x64)
+	p := Affine{X: x, Y: lam.Elem()}
 	if !p.OnCurve() {
 		return Infinity, ErrNotOnCurve
 	}

@@ -70,7 +70,10 @@ func SolveQuadratic64(c gf233.Elem64) (gf233.Elem64, bool) {
 	h := gf233.Elem64{h0, h1, h2, h3}
 	// Solvability check doubles as the correctness proof of the table
 	// path: h² + h = c fails exactly when Tr(c) = 1.
-	if gf233.Add64(gf233.Sqr64(h), h) != c {
+	var hh gf233.Elem64
+	gf233.SqrTo(&hh, &h)
+	gf233.AddTo(&hh, &hh, &h)
+	if hh != c {
 		return gf233.Zero64, false
 	}
 	return h, true

@@ -32,6 +32,8 @@ func InPrimeSubgroup64(x, y gf233.Elem64) bool {
 	if !ok {
 		return false // Tr(x) = 1: not even halvable once
 	}
-	u2 := gf233.Add64(y, gf233.Mul64(gf233.Add64(lam, gf233.One64), x))
-	return gf233.TraceFast(u2.Elem()) == 0
+	gf233.AddTo(&lam, &lam, &gf233.One64)
+	gf233.MulTo(&lam, &lam, &x)
+	gf233.AddTo(&lam, &lam, &y)
+	return gf233.TraceFast(lam.Elem()) == 0
 }

@@ -39,6 +39,7 @@ import (
 	"repro/internal/ec"
 	"repro/internal/ecdh"
 	"repro/internal/gf233"
+	"repro/internal/koblitz"
 	"repro/internal/sign"
 )
 
@@ -153,13 +154,18 @@ func (c *Cert) HashScalar(caPub ec.Affine) *big.Int {
 
 // mulAdd returns e·k + d mod n for e, k, d in [0, n), computed on
 // core's constant-time mod-n words: k is secret in both uses (the CA's
-// nonce, the requester's ephemeral key), and so is d at issuance.
+// nonce, the requester's ephemeral key), and so is d at issuance (the
+// CA key) and the sum at reconstruction (the holder's key), so both
+// word buffers are zeroed before returning.
 func mulAdd(e, k, d *big.Int) *big.Int {
 	var ew, kw, dw core.Residue
 	ew.SetBig(e)
 	kw.SetBig(k)
 	dw.SetBig(d)
-	return kw.Mul(&ew, &kw).Add(&kw, &dw).Big(new(big.Int))
+	r := kw.Mul(&ew, &kw).Add(&kw, &dw).Big(new(big.Int))
+	clear(kw[:])
+	clear(dw[:])
+	return r
 }
 
 // NewRequest draws the requester's ephemeral pair (k_U, R_U = k_U·G).
@@ -220,22 +226,29 @@ func (ca *CA) Issue(reqPoint ec.Affine, identity []byte, rand io.Reader) (*Cert,
 		if err != nil {
 			return nil, nil, err
 		}
+		// k.D is wiped on every exit from here: r = e·k + d_CA is public,
+		// so the nonce is as secret as d_CA.
 		pu := reqPoint.Add(k.Public)
 		if pu.Inf {
+			koblitz.WipeInt(k.D)
 			continue // R_U = −k·G: the certificate point must be a point
 		}
 		cert, err := NewCert(pu, identity)
 		if err != nil {
 			// R_U and k·G are subgroup points, so P_U is too; unreachable,
 			// kept as a hard stop rather than a silent loop.
+			koblitz.WipeInt(k.D)
 			return nil, nil, err
 		}
 		e := cert.HashScalar(ca.priv.Public)
 		if e.Sign() == 0 {
+			koblitz.WipeInt(k.D)
 			continue // degenerate hash: reroll the certificate point
 		}
 		// r = e·k + d_CA mod n.
-		return cert, mulAdd(e, k.D, ca.priv.D), nil
+		r := mulAdd(e, k.D, ca.priv.D)
+		koblitz.WipeInt(k.D)
+		return cert, r, nil
 	}
 }
 

@@ -310,9 +310,10 @@ func processBatch(s *batchScratch, batch []*request) {
 		if r.err != nil {
 			continue
 		}
+		zi := &zs[i]
 		switch r.op {
 		case opScalarMult:
-			r.res = affineFrom(r.ld, zs[i])
+			r.res = affineFrom(&r.ld, zi)
 		case opECDH:
 			if r.ld.IsInfinity() {
 				// Unreachable for a validated peer and d ∈ [1, n−1],
@@ -320,10 +321,10 @@ func processBatch(s *batchScratch, batch []*request) {
 				r.err = ecdh.ErrWeakSharedPoint
 				continue
 			}
-			r.secret = gf233.Mul64(r.ld.X, zs[i]).Elem().Bytes()
+			r.secret = xFrom(&r.ld, zi).Bytes()
 		case opSign:
 			// r = x(k·G) mod n from the shared inverse.
-			x := gf233.Mul64(r.ld.X, zs[i]).Elem().Bytes()
+			x := xFrom(&r.ld, zi).Bytes()
 			r.r.SetBytes(x[:])
 			core.ReduceModOrder(&r.r)
 		case opVerify:
@@ -336,7 +337,7 @@ func processBatch(s *batchScratch, batch []*request) {
 			// v = x(R') mod n from the shared inverse; accept iff it
 			// matches the signature's r. The ladders are done, so s.u1
 			// serves as the comparison scratch.
-			x := gf233.Mul64(r.ld.X, zs[i]).Elem().Bytes()
+			x := xFrom(&r.ld, zi).Bytes()
 			s.u1.SetBytes(x[:])
 			core.ReduceModOrder(&s.u1)
 			r.ok = s.u1.Cmp(r.sig.R) == 0
@@ -355,9 +356,10 @@ func processBatch(s *batchScratch, batch []*request) {
 			// halving-trace test (ec.InPrimeSubgroup64, core.InSubgroup's
 			// body) is exact and is held equal to the generic n·P = ∞
 			// ladder by differential tests.
-			zi := zs[i]
-			x64 := gf233.Mul64(r.ld.X, zi)
-			y64 := gf233.Mul64(r.ld.Y, gf233.Sqr64(zi))
+			var x64, y64 gf233.Elem64
+			gf233.SqrTo(&y64, zi)
+			gf233.MulTo(&y64, &r.ld.Y, &y64)
+			gf233.MulTo(&x64, &r.ld.X, zi)
 			if !ec.InPrimeSubgroup64(x64, y64) {
 				r.err = ErrExtractDegenerate
 				continue
@@ -393,14 +395,23 @@ func (s *batchScratch) scrub() {
 
 // affineFrom converts a projective result using its precomputed
 // inverse Z coordinate.
-func affineFrom(ld ec.LD64, zinv gf233.Elem64) ec.Affine {
+func affineFrom(ld *ec.LD64, zinv *gf233.Elem64) ec.Affine {
 	if ld.IsInfinity() {
 		return ec.Infinity
 	}
-	return ec.Affine{
-		X: gf233.Mul64(ld.X, zinv).Elem(),
-		Y: gf233.Mul64(ld.Y, gf233.Sqr64(zinv)).Elem(),
-	}
+	var x, y gf233.Elem64
+	gf233.SqrTo(&y, zinv)
+	gf233.MulTo(&y, &ld.Y, &y)
+	gf233.MulTo(&x, &ld.X, zinv)
+	return ec.Affine{X: x.Elem(), Y: y.Elem()}
+}
+
+// xFrom returns the affine x = X/Z of a projective result from its
+// precomputed inverse Z coordinate.
+func xFrom(ld *ec.LD64, zinv *gf233.Elem64) gf233.Elem {
+	var x gf233.Elem64
+	gf233.MulTo(&x, &ld.X, zinv)
+	return x.Elem()
 }
 
 // prepareSign hashes the digest, samples a nonce into request-owned
@@ -512,7 +523,8 @@ func (s *batchScratch) extractPoints(exQ []*request) {
 	}
 	s.cs.ScalarMultBatchLD64(lds, ks, pts)
 	for i, r := range exQ {
-		r.ld = lds[i].AddMixed(r.ca)
+		r.ld = lds[i]
+		r.ld.AddMixed(&r.ca)
 	}
 }
 
@@ -623,9 +635,8 @@ func (s *batchScratch) recoverPoints(q []*request) []*request {
 			continue
 		}
 		// x ≠ 0 always: r ∈ [1, n−1] and offset ≥ 0.
-		xe := gf233.ToElem64(x)
-		xv[n] = xe
-		x2[n] = gf233.Sqr64(xe)
+		xv[n] = gf233.ToElem64(x)
+		gf233.SqrTo(&x2[n], &xv[n])
 		q[n] = r
 		n++
 	}
@@ -633,21 +644,25 @@ func (s *batchScratch) recoverPoints(q []*request) []*request {
 	gf233.InvBatch64(x2[:n], x2s)
 	m := 0
 	for i := 0; i < n; i++ {
-		r, x := q[i], xv[i]
+		r, x := q[i], &xv[i]
 		// λ² + λ = x + b/x² with b = 1; solvability of the quadratic IS
 		// the on-curve check for x ≠ 0.
-		lam, ok := ec.SolveQuadratic64(gf233.Add64(x, x2[i]))
+		var c gf233.Elem64
+		gf233.AddTo(&c, x, &x2[i])
+		lam, ok := ec.SolveQuadratic64(c)
 		if !ok {
 			continue
 		}
 		if byte(lam[0]&1) != r.hint&1 {
-			lam = gf233.Add64(lam, gf233.One64)
+			gf233.AddTo(&lam, &lam, &gf233.One64)
 		}
-		y := gf233.Mul64(lam, x)
-		if !ec.InPrimeSubgroup64(x, y) {
+		var y gf233.Elem64
+		gf233.MulTo(&y, &lam, x)
+		if !ec.InPrimeSubgroup64(*x, y) {
 			continue
 		}
-		r.rpt = ec.Affine64{X: x, Y: gf233.Add64(x, y)}
+		r.rpt = ec.Affine64{X: *x}
+		gf233.AddTo(&r.rpt.Y, x, &y)
 		q[m] = r
 		m++
 	}
@@ -741,7 +756,7 @@ func (s *batchScratch) verifyLC(lcQ []*request) []*request {
 	for _, r := range kept {
 		ms.AddWeighted(r.rho, r.rpt)
 	}
-	if !ms.Eval().IsInfinity() {
+	if sum := ms.Eval(); !sum.IsInfinity() {
 		return nil
 	}
 	return kept

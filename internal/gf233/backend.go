@@ -22,12 +22,19 @@ import (
 // instrument and compile them to Thumb by name, and the tests use them
 // as oracles.
 //
-// The 64-bit entry points Mul64, Sqr64, SqrN64 and MustInv64 — the ones
-// internal/ec, internal/core and internal/engine call in their hot
+// The 64-bit entry points MulTo, SqrTo, SqrN64 and MustInv64 — the
+// ones internal/ec, internal/core and internal/engine call in their hot
 // loops — dispatch between the windowed-LD and CLMUL implementations,
 // so the whole point-arithmetic stack picks up BackendCLMUL with zero
-// call-site changes. The generic entry points Mul, Sqr, SqrN and Inv on
-// Elem convert to the 64-bit representation and call them. The named
+// call-site changes. MulTo and SqrTo (with the non-dispatching AddTo)
+// take a destination and pointer operands, the form of the toolchain's
+// crypto/internal/fips140/edwards25519/field: the hot loops keep their
+// coordinates in place and hand the assembly their addresses, so no
+// 32-byte element is copied through the stack per operation. The
+// destination may alias either operand. Mul64 and Sqr64 are by-value
+// wrappers over them, for the benchmark ladder's field probes. The
+// generic entry points Mul, Sqr, SqrN and Inv on Elem convert to the
+// 64-bit representation and call them. The named
 // variants (MulLDFixed, MulLD64, MulClmul, SqrInterleaved, SqrSpread64,
 // SqrClmul, InvEEA, Inv64, InvItohTsujii64, ...) always run their own
 // implementation regardless of the selection, for benchmarks and
@@ -147,7 +154,8 @@ func init() {
 func CurrentBackend() Backend { return Backend(backend.Load()) }
 
 // SetBackend selects the backend used by the dispatching entry points
-// (Mul, Sqr, SqrN, Inv and their 64-bit counterparts) and returns the
+// (Mul, Sqr, SqrN, Inv and their 64-bit counterparts MulTo, SqrTo,
+// SqrN64, SqrN64x3 and MustInv64) and returns the
 // previous selection (convenient for defer-restore in tests and
 // benchmarks). Requesting a backend this machine cannot run —
 // BackendCLMUL without hardware support, or a value outside the defined
@@ -161,11 +169,19 @@ func SetBackend(b Backend) Backend {
 	return Backend(backend.Swap(uint32(b)))
 }
 
-// Mul returns a*b via the dispatching Mul64.
-func Mul(a, b Elem) Elem { return Mul64(ToElem64(a), ToElem64(b)).Elem() }
+// Mul returns a*b via the dispatching MulTo.
+func Mul(a, b Elem) Elem {
+	x, y := ToElem64(a), ToElem64(b)
+	MulTo(&x, &x, &y)
+	return x.Elem()
+}
 
-// Sqr returns a squared via the dispatching Sqr64.
-func Sqr(a Elem) Elem { return Sqr64(ToElem64(a)).Elem() }
+// Sqr returns a squared via the dispatching SqrTo.
+func Sqr(a Elem) Elem {
+	x := ToElem64(a)
+	SqrTo(&x, &x)
+	return x.Elem()
+}
 
 // SqrN squares a n times (computes a^(2^n)), a helper for inversion
 // chains and Frobenius powers. The whole chain runs in the 64-bit

@@ -4,7 +4,7 @@ package gf233
 // variants (MulLDFixed, MulLD64, SqrSpread64, Inv64 ...), these always
 // run their own implementation regardless of the backend selection, so
 // benchmarks and differential tests can pin them; the backend-dispatched
-// hot paths are Mul64/Sqr64/SqrN64/MustInv64 in the sibling files. On
+// hot paths are MulTo/SqrTo/SqrN64/MustInv64 in the sibling files. On
 // hardware without PCLMULQDQ each wrapper degrades to the portable
 // 64-bit routine, which is bit-identical, so calling them is always
 // safe — only HasCLMUL-gated benchmarks care about the difference.
@@ -14,12 +14,17 @@ package gf233
 // multiplies, then the branchless in-XMM fold). Falls back to MulLD64
 // without hardware support.
 func MulClmul(a, b Elem64) Elem64 {
+	mulClmulTo(&a, &a, &b)
+	return a
+}
+
+// mulClmulTo is MulClmul in pointer form: *z = a*b, z may alias a or b.
+func mulClmulTo(z, a, b *Elem64) {
 	if !canCLMUL {
-		return MulLD64(a, b)
+		*z = MulLD64(*a, *b)
+		return
 	}
-	var z Elem64
-	mulClmulAsm(&z, &a, &b)
-	return z
+	mulClmulAsm(z, a, b)
 }
 
 // SqrClmul returns a squared via the PCLMULQDQ backend: four
@@ -41,13 +46,20 @@ func SqrClmul(a Elem64) Elem64 {
 // otherwise pay a call and a full reduction each. Falls back to the
 // portable squaring loop without hardware support.
 func SqrNClmul(a Elem64, n int) Elem64 {
+	sqrNClmulTo(&a, &a, n)
+	return a
+}
+
+// sqrNClmulTo is SqrNClmul in pointer form: *z = a^(2^n), z may alias
+// a.
+func sqrNClmulTo(z, a *Elem64, n int) {
 	if !canCLMUL {
+		s := *a
 		for i := 0; i < n; i++ {
-			a = SqrSpread64(a)
+			s = SqrSpread64(s)
 		}
-		return a
+		*z = s
+		return
 	}
-	var z Elem64
-	sqrNClmulAsm(&z, &a, n)
-	return z
+	sqrNClmulAsm(z, a, n)
 }

@@ -7,7 +7,9 @@ package gf233
 // on canCLMUL: the exported wrappers (clmul.go) check it explicitly,
 // and the backend registry (backend.go) refuses to select BackendCLMUL
 // when the probe failed, which keeps the dispatching hot paths
-// (Mul64, Sqr64, SqrN64, SqrN64x3, MustInv64) free of a second feature test.
+// (MulTo, SqrTo, SqrN64, SqrN64x3, MustInv64) free of a second feature
+// test. Each routine loads all of its operands before it stores the
+// result, so a destination may alias an operand.
 
 //go:noescape
 func mulClmulAsm(z, a, b *Elem64)

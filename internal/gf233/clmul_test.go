@@ -128,6 +128,8 @@ func TestZeroAllocClmul(t *testing.T) {
 		{"SqrNClmul", func() { sink = SqrNClmul(a, 58) }},
 		{"Mul64", func() { sink = Mul64(a, b) }},
 		{"Sqr64", func() { sink = Sqr64(a) }},
+		{"MulTo", func() { MulTo(&x, &x, &y) }},
+		{"SqrTo", func() { SqrTo(&y, &y) }},
 		{"SqrN64", func() { sink = SqrN64(a, 58) }},
 		{"SqrN64x3", func() { SqrN64x3(&x, &y, &z, 58) }},
 		{"InvItohTsujii64", func() { sink, _ = InvItohTsujii64(a) }},

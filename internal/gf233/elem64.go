@@ -58,5 +58,14 @@ func Add64(a, b Elem64) Elem64 {
 	return Elem64{a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]}
 }
 
+// AddTo sets *z = a + b, the pointer form of Add64 beside MulTo and
+// SqrTo. z may alias a, b or both.
+func AddTo(z, a, b *Elem64) {
+	z[0] = a[0] ^ b[0]
+	z[1] = a[1] ^ b[1]
+	z[2] = a[2] ^ b[2]
+	z[3] = a[3] ^ b[3]
+}
+
 // String renders a in big-endian hex via the reference representation.
 func (a Elem64) String() string { return a.Elem().String() }

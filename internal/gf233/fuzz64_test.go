@@ -45,9 +45,82 @@ func seedCorpus(f *testing.F, pair bool) {
 	}
 }
 
+// pointerBackends are the backends the pointer-form checks pin in
+// turn; where CLMUL is unsupported, SetBackend degrades the second to
+// Backend64.
+var pointerBackends = []Backend{Backend64, BackendCLMUL}
+
+// checkPoly fails t unless got equals the oracle polynomial want.
+func checkPoly(t *testing.T, bk Backend, op string, got Elem64, want gf2.Poly) {
+	t.Helper()
+	if !gf2.Equal(got.Elem().Poly(), want) {
+		t.Fatalf("backend %v: %s = %v, oracle %v", bk, op, got.Elem().Poly(), want)
+	}
+}
+
+// checkMulTo runs the dispatching MulTo under both backends with the
+// destination in each of its four positions — distinct, z = a, z = b
+// and z = a = b (then a square) — against the gf2 oracle. A kernel
+// that stores into z before its last load of an aliased operand fails
+// here.
+func checkMulTo(t *testing.T, a, b Elem) {
+	t.Helper()
+	mod := Modulus()
+	ab := gf2.Mod(gf2.Mul(a.Poly(), b.Poly()), mod)
+	aa := gf2.Mod(gf2.Mul(a.Poly(), a.Poly()), mod)
+	for _, bk := range pointerBackends {
+		prev := SetBackend(bk)
+		x, y := ToElem64(a), ToElem64(b)
+		var z Elem64
+		MulTo(&z, &x, &y)
+		checkPoly(t, bk, "MulTo(z, a, b)", z, ab)
+		z = x
+		MulTo(&z, &z, &y)
+		checkPoly(t, bk, "MulTo(a, a, b)", z, ab)
+		z = y
+		MulTo(&z, &x, &z)
+		checkPoly(t, bk, "MulTo(b, a, b)", z, ab)
+		z = x
+		MulTo(&z, &z, &z)
+		checkPoly(t, bk, "MulTo(a, a, a)", z, aa)
+		SetBackend(prev)
+	}
+}
+
+// checkSqrAddTo is checkMulTo for SqrTo (z distinct and z = a) and
+// AddTo (all four positions), with a² as AddTo's second operand.
+func checkSqrAddTo(t *testing.T, a Elem) {
+	t.Helper()
+	aa := gf2.Mod(gf2.Mul(a.Poly(), a.Poly()), Modulus())
+	sum := gf2.Add(a.Poly(), aa)
+	for _, bk := range pointerBackends {
+		prev := SetBackend(bk)
+		x := ToElem64(a)
+		var z Elem64
+		SqrTo(&z, &x)
+		checkPoly(t, bk, "SqrTo(z, a)", z, aa)
+		y := z
+		z = x
+		SqrTo(&z, &z)
+		checkPoly(t, bk, "SqrTo(a, a)", z, aa)
+		AddTo(&z, &x, &y)
+		checkPoly(t, bk, "AddTo(z, a, b)", z, sum)
+		z = x
+		AddTo(&z, &z, &y)
+		checkPoly(t, bk, "AddTo(a, a, b)", z, sum)
+		z = y
+		AddTo(&z, &x, &z)
+		checkPoly(t, bk, "AddTo(b, a, b)", z, sum)
+		z = x
+		AddTo(&z, &z, &z)
+		checkPoly(t, bk, "AddTo(a, a, a)", z, gf2.Poly{})
+		SetBackend(prev)
+	}
+}
+
 // FuzzMul64VsRef cross-checks both pure-Go 64-bit multiplications
 // against the three 32-bit LD variants and the gf2 big-polynomial
-// oracle.
+// oracle, and the dispatching MulTo in every aliasing form.
 func FuzzMul64VsRef(f *testing.F) {
 	seedCorpus(f, true)
 	mod := Modulus()
@@ -72,6 +145,7 @@ func FuzzMul64VsRef(f *testing.F) {
 				t.Fatalf("%s(%v, %v) = %v, oracle %v", r.name, a, b, r.got.Poly(), want)
 			}
 		}
+		checkMulTo(t, a, b)
 	})
 }
 
@@ -81,7 +155,8 @@ func FuzzMul64VsRef(f *testing.F) {
 // CLMUL the wrapper degrades to MulLD64, so the target still runs (the
 // comparison is then between the two pure-Go paths); the dispatching
 // Mul64 is pinned to BackendCLMUL for the duration so the entry point
-// every point-arithmetic loop calls is the thing being fuzzed.
+// every point-arithmetic loop calls is the thing being fuzzed, in
+// every aliasing form (checkMulTo).
 func FuzzMulClmulVsRef(f *testing.F) {
 	seedCorpus(f, true)
 	mod := Modulus()
@@ -107,6 +182,7 @@ func FuzzMulClmulVsRef(f *testing.F) {
 		if got != MulClmul(a64, b64) {
 			t.Fatalf("dispatching Mul64 diverged from MulClmul on %v * %v", a, b)
 		}
+		checkMulTo(t, a, b)
 	})
 }
 
@@ -138,7 +214,8 @@ func checkSqrN64x3(t *testing.T, bk Backend, a Elem64) {
 
 // FuzzSqrInv64VsRef cross-checks 64-bit squaring (single and the
 // portable three-chain fallback) and inversion against the 32-bit
-// reference and the gf2 oracle, plus the a * a^-1 = 1 field identity.
+// reference and the gf2 oracle, plus the a * a^-1 = 1 field identity,
+// and the dispatching SqrTo and AddTo in every aliasing form.
 func FuzzSqrInv64VsRef(f *testing.F) {
 	seedCorpus(f, false)
 	mod := Modulus()
@@ -157,6 +234,7 @@ func FuzzSqrInv64VsRef(f *testing.F) {
 			t.Fatalf("SqrSpread64(%v) = %v, reference %v", a, got, want)
 		}
 		checkSqrN64x3(t, Backend64, a64)
+		checkSqrAddTo(t, a)
 
 		inv, ok := Inv64(a64)
 		refInv, refOK := InvEEA(a)
@@ -180,7 +258,8 @@ func FuzzSqrInv64VsRef(f *testing.F) {
 // against the pure-Go 64-bit path, the 32-bit reference and the gf2
 // oracle. The n-fold squaring is exercised at the exact chain lengths
 // the Itoh–Tsujii inversion uses, which covers the lazily reduced
-// assembly loop at every hop of the addition chain.
+// assembly loop at every hop of the addition chain. SqrTo and AddTo
+// run in every aliasing form (checkSqrAddTo).
 func FuzzSqrInvClmulVsRef(f *testing.F) {
 	seedCorpus(f, false)
 	mod := Modulus()
@@ -208,6 +287,7 @@ func FuzzSqrInvClmulVsRef(f *testing.F) {
 			}
 		}
 		checkSqrN64x3(t, BackendCLMUL, a64)
+		checkSqrAddTo(t, a)
 
 		itInv, itOK := InvItohTsujii64(a64)
 		refInv, refOK := Inv64(a64)

@@ -73,32 +73,39 @@ func Inv64(a Elem64) (inv Elem64, ok bool) {
 // InvItohTsujii64 computes a^-1 = a^(2^233 - 2) with the Itoh–Tsujii
 // multiplicative chain (addition chain 1,2,3,6,7,14,28,29,58,116,232
 // for the exponent 2^232 - 1): 10 multiplications and 232 squarings
-// through the pinned CLMUL variants, so the squaring runs in the fused
-// assembly loop regardless of the backend selection (like every named
-// variant; on hardware without CLMUL the wrappers degrade to the
-// pure-Go path). This is the hot-path inversion of BackendCLMUL — with
-// carry-less squaring at a few nanoseconds the chain beats the EEA's
-// word-serial shift cascade — and the 64-bit sibling of the 32-bit
-// InvItohTsujii ablation (inv.go). It reports ok=false for the zero
-// element.
+// on the CLMUL kernels regardless of the backend selection, so the
+// squaring runs in the fused assembly loop (like every named variant;
+// on hardware without CLMUL each step degrades to the pure-Go path).
+// This is the hot-path inversion of BackendCLMUL — with carry-less
+// squaring at a few nanoseconds the chain beats the EEA's word-serial
+// shift cascade — and the 64-bit sibling of the 32-bit InvItohTsujii
+// ablation (inv.go). It reports ok=false for the zero element.
 func InvItohTsujii64(a Elem64) (Elem64, bool) {
 	if a.IsZero() {
 		return Zero64, false
 	}
 	// t(k) denotes a^(2^k - 1); t(k+j) = t(k)^(2^j) * t(j).
-	t1 := a
-	t2 := MulClmul(SqrNClmul(t1, 1), t1)
-	t3 := MulClmul(SqrNClmul(t2, 1), t1)
-	t6 := MulClmul(SqrNClmul(t3, 3), t3)
-	t7 := MulClmul(SqrNClmul(t6, 1), t1)
-	t14 := MulClmul(SqrNClmul(t7, 7), t7)
-	t28 := MulClmul(SqrNClmul(t14, 14), t14)
-	t29 := MulClmul(SqrNClmul(t28, 1), t1)
-	t58 := MulClmul(SqrNClmul(t29, 29), t29)
-	t116 := MulClmul(SqrNClmul(t58, 58), t58)
-	t232 := MulClmul(SqrNClmul(t116, 116), t116)
+	var t2, t3, t6, t7, t14, t28, t29, t58, t116, t232 Elem64
+	t1 := &a
+	itStep(&t2, t1, 1, t1)
+	itStep(&t3, &t2, 1, t1)
+	itStep(&t6, &t3, 3, &t3)
+	itStep(&t7, &t6, 1, t1)
+	itStep(&t14, &t7, 7, &t7)
+	itStep(&t28, &t14, 14, &t14)
+	itStep(&t29, &t28, 1, t1)
+	itStep(&t58, &t29, 29, &t29)
+	itStep(&t116, &t58, 58, &t58)
+	itStep(&t232, &t116, 116, &t116)
 	// a^-1 = (a^(2^232 - 1))^2.
 	return SqrClmul(t232), true
+}
+
+// itStep sets *z = t^(2^n) * u, one step of the Itoh–Tsujii chain, on
+// the pinned CLMUL kernels. z must not alias u.
+func itStep(z, t *Elem64, n int, u *Elem64) {
+	sqrNClmulTo(z, t, n)
+	mulClmulTo(z, z, u)
 }
 
 // inv64Dispatch returns a^-1 via the inversion method of the selected

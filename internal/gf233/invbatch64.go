@@ -28,7 +28,7 @@ func InvBatch64(a, scratch []Elem64) {
 	for i := range a {
 		scratch[i] = p
 		if !a[i].IsZero() {
-			p = Mul64(p, a[i])
+			MulTo(&p, &p, &a[i])
 		}
 	}
 	// p is a product of nonzero elements (or One64 if all were zero),
@@ -40,8 +40,8 @@ func InvBatch64(a, scratch []Elem64) {
 		}
 		// inv = (a[0]·…·a[i])^-1 over the nonzero elements, so
 		// multiplying by the exclusive prefix isolates a[i]^-1.
-		t := Mul64(inv, scratch[i])
-		inv = Mul64(inv, a[i])
-		a[i] = t
+		MulTo(&scratch[i], &scratch[i], &inv)
+		MulTo(&inv, &inv, &a[i])
+		a[i] = scratch[i]
 	}
 }

@@ -1,8 +1,11 @@
 package gf233
 
-// 64-bit multiplication. Mul64 is the dispatching entry point the
-// point-arithmetic hot loops call; it selects between the
-// implementations:
+// 64-bit multiplication. MulTo is the dispatching entry point the
+// point-arithmetic hot loops call; it writes the product through a
+// destination pointer, in the calling convention of the toolchain's
+// crypto/internal/fips140/edwards25519/field, so a 32-byte operand or
+// result is never copied through the stack on its way to the kernel.
+// It selects between the implementations:
 //
 //	MulLD64        — w=4 windowed LD with the whole double-width
 //	                 accumulator held in scalar locals, the 64-bit port
@@ -16,7 +19,7 @@ package gf233
 //	                 an independent implementation for differential
 //	                 testing;
 //	MulClmul       — the PCLMULQDQ assembly path (clmul.go), selected by
-//	                 Mul64 when the CLMUL backend is active.
+//	                 MulTo when the CLMUL backend is active.
 //
 // All produce bit-identical results to the 32-bit reference methods
 // A/B/C; fuzz64_test.go enforces that.
@@ -46,19 +49,25 @@ func buildTable64(y Elem64) mulTable64 {
 	return t
 }
 
-// Mul64 returns a*b in the 64-bit representation, via the multiplier
-// of the selected backend: PCLMULQDQ assembly when BackendCLMUL is
-// active, the windowed LD otherwise. This is the multiplication every
-// 64-bit point-arithmetic path (internal/ec, internal/core,
-// internal/engine) calls, so backend selection reaches them with zero
-// call-site changes.
-func Mul64(a, b Elem64) Elem64 {
+// MulTo sets *z = a*b in the 64-bit representation, via the
+// multiplier of the selected backend: PCLMULQDQ assembly when
+// BackendCLMUL is active, the windowed LD otherwise. This is the
+// multiplication every 64-bit point-arithmetic path (internal/ec,
+// internal/core, internal/engine) calls, so backend selection reaches
+// them with zero call-site changes. z may alias a, b or both: every
+// implementation reads both operands before it writes z.
+func MulTo(z, a, b *Elem64) {
 	if CurrentBackend() == BackendCLMUL {
-		var z Elem64
-		mulClmulAsm(&z, &a, &b)
-		return z
+		mulClmulAsm(z, a, b)
+		return
 	}
-	return MulLD64(a, b)
+	*z = MulLD64(*a, *b)
+}
+
+// Mul64 returns a*b via MulTo, for callers that hold values.
+func Mul64(a, b Elem64) Elem64 {
+	MulTo(&a, &a, &b)
+	return a
 }
 
 // MulLD64 returns a*b via the portable windowed LD with fixed

@@ -20,18 +20,23 @@ func spread64(w uint32) uint64 {
 	return v
 }
 
-// Sqr64 returns a squared in the 64-bit representation, via the
-// squaring of the selected backend: PCLMULQDQ self-products when
-// BackendCLMUL is active, the mask-cascade spread otherwise. Like
-// Mul64, this is the dispatching entry point the point-arithmetic hot
-// loops call.
-func Sqr64(a Elem64) Elem64 {
+// SqrTo sets *z = a² in the 64-bit representation, via the squaring
+// of the selected backend: PCLMULQDQ self-products when BackendCLMUL is
+// active, the mask-cascade spread otherwise. Like MulTo, this is the
+// dispatching entry point the point-arithmetic hot loops call; z may
+// alias a.
+func SqrTo(z, a *Elem64) {
 	if CurrentBackend() == BackendCLMUL {
-		var z Elem64
-		sqrClmulAsm(&z, &a)
-		return z
+		sqrClmulAsm(z, a)
+		return
 	}
-	return SqrSpread64(a)
+	*z = SqrSpread64(*a)
+}
+
+// Sqr64 returns a squared via SqrTo, for callers that hold values.
+func Sqr64(a Elem64) Elem64 {
+	SqrTo(&a, &a)
+	return a
 }
 
 // SqrSpread64 returns a squared via the portable mask-cascade spread.
