@@ -6,7 +6,10 @@
 #                  module),
 #                  race-enabled tests (including the 32-goroutine
 #                  concurrency tests in internal/engine and
-#                  internal/core), the same unit-test set a second time
+#                  internal/core, and the engine's batch-formation and
+#                  async tests once more at 1, 2 and 4 Ps, since the
+#                  batch collect yields to the scheduler), the same
+#                  unit-test set a second time
 #                  pinned to GF233_BACKEND=64 (so the non-CLMUL fallback
 #                  path can never rot on CLMUL machines), a short
 #                  differential-fuzz smoke of the 64-bit and CLMUL field
@@ -114,6 +117,7 @@ test64:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/engine -run 'TestBatchWindow|TestAsync'
 
 fuzz:
 	$(GO) test ./internal/gf233 -run='^$$' -fuzz=FuzzMul64VsRef -fuzztime=10s

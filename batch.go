@@ -78,16 +78,17 @@ func WithQueueDepth(n int) EngineOption {
 	return func(o *engineOptions) { o.cfg.Queue = clampOption(n, engine.QueueLimit) }
 }
 
-// WithBatchWindow sets a fixed deadline on a non-full batch: a worker
-// holds the batch open until it reaches the MaxBatch cap OR the
-// window, started when the batch opens, expires. The default (0) keeps
-// the greedy drain — whatever is already queued runs immediately, so
-// light load sees batch-of-one latency. A serving front end that wants
-// real batches at moderate arrival rates sets a small window (hundreds
-// of microseconds), and then every batch that does not fill waits the
-// whole window. On an idle process that is longer than asked: Go
-// rounds timer waits below a millisecond up to about one, so a 200 µs
-// window costs a lone request ~1 ms; see cmd/eccserve.
+// WithBatchWindow bounds how long a batch keeps collecting. The
+// default (0) keeps the greedy drain: whatever is already queued runs
+// at once. With a window, the worker then yields so that submitters
+// ready to run can queue their requests, and keeps collecting until a
+// quiet gap passes with no new request (the longer of 20 µs and the
+// previous batch's run time per request), the batch reaches the
+// MaxBatch cap or d has passed since the batch opened. Nothing sleeps:
+// a lone request waits the quiet gap whatever d is (eccserve's
+// light-load median is 0.18–0.29 ms at its 200 µs default), and the
+// window caps how long the first request of a busy batch waits for the
+// rest; see cmd/eccserve.
 func WithBatchWindow(d time.Duration) EngineOption {
 	return func(o *engineOptions) {
 		if d < 0 {

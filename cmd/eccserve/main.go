@@ -7,14 +7,17 @@
 //
 // Operational behaviour:
 //
-//   - Batching: a batch closes when it reaches -batch requests or
-//     when the -window deadline, a fixed one started when the batch
-//     opens, expires. A batch that does not fill waits the whole
-//     window, and an idle process waits about a millisecond for the
-//     default 200µs: Go rounds timer waits below a millisecond up to
-//     about one. The shard answers each batch from its completion,
-//     and each connection's writer sends the answers that have
-//     accumulated in one write.
+//   - Batching: after taking what is queued, a shard collects: it
+//     yields so that request goroutines ready to run can submit, and
+//     takes what they queued. The batch closes once a quiet gap (the
+//     longer of 20µs and the shard's previous batch run time per
+//     request) passes with no new request, at -batch requests, or
+//     once -window has passed since it opened. No timer is involved:
+//     a lone request waits the quiet gap, not the window (light-load
+//     median 0.18–0.29 ms on the benchmark's workloads), and the window
+//     only caps the collect while requests keep arriving. The shard answers each batch from its
+//     completion, and each connection's writer sends the answers that
+//     have accumulated in one write.
 //   - Load shedding: at most -maxinflight requests run at once;
 //     beyond that clients get an explicit TOverload frame instead of
 //     unbounded queueing.
@@ -68,7 +71,7 @@ func main() {
 		metrics  = flag.String("metrics", "", "listen address for /metrics, /debug/vars and /debug/pprof (empty = disabled)")
 		shards   = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
 		batch    = flag.Int("batch", 32, "max requests per engine batch")
-		window   = flag.Duration("window", 200*time.Microsecond, "batch window: a fixed deadline after which a partial batch closes (an idle process waits ~1ms for anything under that)")
+		window   = flag.Duration("window", 200*time.Microsecond, "batch window: the longest a batch keeps collecting while requests keep arriving; a batch closes sooner once no new request arrives for the longer of 20µs and the previous batch's run time per request (0 = take only what is queued)")
 		maxInfl  = flag.Int("maxinflight", 0, "max concurrent requests before shedding (0 = 4*shards*batch)")
 		cacheCap = flag.Int("keycache", 1024, fmt.Sprintf("resident w=10 verification tables; the key cache holds %d× as many parsed keys", keyTierRatio))
 		keyFile  = flag.String("key", "", "hex-encoded private key file (empty = ephemeral key)")

@@ -21,7 +21,7 @@ import (
 type serverConfig struct {
 	Shards       int           // engine shards; 0 = GOMAXPROCS
 	MaxBatch     int           // per-shard batch ceiling
-	Window       time.Duration // fixed batch deadline (0 = greedy only)
+	Window       time.Duration // bound on a batch's collect (0 = greedy only)
 	MaxInflight  int           // concurrent requests before shedding
 	MaxConns     int           // accepted-connection cap; 0 = unlimited
 	KeyCacheCap  int           // resident w=10 tables; the key tier holds keyTierRatio× as many keys

@@ -187,6 +187,43 @@ func TestServeVerifyRecoverable(t *testing.T) {
 	}
 }
 
+// TestServeLoneRequestsSkipWindow pins the light-load latency of the
+// batch collect over the wire: with nothing else in flight, a lone
+// sign and a lone hinted verify are answered once the collect goes
+// quiet, not after the -window bound, here 10 s.
+func TestServeLoneRequestsSkipWindow(t *testing.T) {
+	_, addr := startTestServer(t, serverConfig{Window: 10 * time.Second})
+	fc := dialFrame(t, addr)
+
+	digest := sha256.Sum256([]byte("lone"))
+	start := time.Now()
+	f, err := fc.Roundtrip(1, frame.TSign, digest[:])
+	if err != nil || f.Type != frame.TOK || len(f.Payload) != frame.SigSize {
+		t.Fatalf("sign: type %#x len %d err %v", f.Type, len(f.Payload), err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("lone sign answered after %v under a 10s window", el)
+	}
+
+	clientPriv, err := repro.GenerateKey(rand.New(rand.NewSource(18)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, hint, err := repro.SignRecoverable(nil, clientPriv, digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := frame.AppendVerifyR(nil, hint, clientPriv.PublicKey().BytesCompressed(), sig.Bytes(), digest[:])
+	start = time.Now()
+	f, err = fc.Roundtrip(2, frame.TVerifyR, req)
+	if err != nil || f.Type != frame.TOK || !bytes.Equal(f.Payload, []byte{1}) {
+		t.Fatalf("verifyr: type %#x payload %v err %v", f.Type, f.Payload, err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("lone hinted verify answered after %v under a 10s window", el)
+	}
+}
+
 func TestServeBadRequests(t *testing.T) {
 	s, addr := startTestServer(t, serverConfig{})
 	fc := dialFrame(t, addr)

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ec"
@@ -59,9 +60,23 @@ func TestZeroAllocScalarMult(t *testing.T) {
 	}
 }
 
+// allocEngines returns the Engine inputs of the round-trip guards: a
+// greedy engine and one whose BatchWindow runs the yielding collect.
+func allocEngines(t *testing.T) []*Engine {
+	engines := []*Engine{
+		New(Config{MaxBatch: 8, Workers: 1}),
+		New(Config{MaxBatch: 8, Workers: 1, BatchWindow: 200 * time.Microsecond}),
+	}
+	for _, e := range engines {
+		t.Cleanup(e.Close)
+	}
+	return engines
+}
+
 // TestZeroAllocBatchECDH pins steady-state batched ECDH — the slice
-// kernel and the Engine round trip — at zero allocations per op, for a
-// fast key (τ-adic kP) and a ConstTime key (the Montgomery ladder).
+// kernel and the Engine round trip, greedy and with a batch window — at
+// zero allocations per op, for a fast key (τ-adic kP) and a ConstTime
+// key (the Montgomery ladder).
 func TestZeroAllocBatchECDH(t *testing.T) {
 	skipIfRace(t)
 	priv, err := core.GenerateKey(rand.New(rand.NewSource(61)))
@@ -75,8 +90,7 @@ func TestZeroAllocBatchECDH(t *testing.T) {
 	for i := range peers {
 		peers[i] = ec.ScalarMultGeneric(big.NewInt(int64(2*i+1)), g)
 	}
-	e := New(Config{MaxBatch: 8, Workers: 1})
-	defer e.Close()
+	engines := allocEngines(t)
 	for _, k := range []*core.PrivateKey{priv, &hard} {
 		out := make([]ECDHResult, len(peers))
 		BatchSharedSecret(k, peers, out) // reach steady state
@@ -87,22 +101,25 @@ func TestZeroAllocBatchECDH(t *testing.T) {
 		}
 
 		buf := make([]byte, 0, SecretSize)
-		if _, err := e.SharedSecretAppend(buf, k, peers[0]); err != nil {
-			t.Fatal(err)
-		}
-		if avg := testing.AllocsPerRun(50, func() {
+		for _, e := range engines {
 			if _, err := e.SharedSecretAppend(buf, k, peers[0]); err != nil {
 				t.Fatal(err)
 			}
-		}); avg != 0 {
-			t.Fatalf("ConstTime %v: engine SharedSecretAppend allocates %v/op, want 0", k.ConstTime, avg)
+			if avg := testing.AllocsPerRun(50, func() {
+				if _, err := e.SharedSecretAppend(buf, k, peers[0]); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Fatalf("ConstTime %v, window %v: engine SharedSecretAppend allocates %v/op, want 0", k.ConstTime, e.cfg.BatchWindow, avg)
+			}
 		}
 	}
 }
 
 // TestZeroAllocBatchSign pins steady-state batched signing at zero
 // allocations per op (result signatures recycled, as a server reusing
-// response buffers would), for a fast and a ConstTime key.
+// response buffers would), for a fast and a ConstTime key, through the
+// slice kernel and both Engine inputs.
 func TestZeroAllocBatchSign(t *testing.T) {
 	skipIfRace(t)
 	priv, err := core.GenerateKey(rand.New(rand.NewSource(62)))
@@ -117,8 +134,7 @@ func TestZeroAllocBatchSign(t *testing.T) {
 		d := sha256.Sum256([]byte{byte(i)})
 		digests[i] = d[:]
 	}
-	e := New(Config{MaxBatch: 8, Workers: 1})
-	defer e.Close()
+	engines := allocEngines(t)
 	for _, k := range []*core.PrivateKey{priv, &hard} {
 		out := make([]SignResult, len(digests))
 		BatchSign(k, digests, rnd, out) // allocate result R/S once
@@ -129,15 +145,17 @@ func TestZeroAllocBatchSign(t *testing.T) {
 		}
 
 		var sig Signature
-		if err := e.SignInto(&sig, k, digests[0], rnd); err != nil {
-			t.Fatal(err)
-		}
-		if avg := testing.AllocsPerRun(50, func() {
+		for _, e := range engines {
 			if err := e.SignInto(&sig, k, digests[0], rnd); err != nil {
 				t.Fatal(err)
 			}
-		}); avg != 0 {
-			t.Fatalf("ConstTime %v: engine SignInto allocates %v/op, want 0", k.ConstTime, avg)
+			if avg := testing.AllocsPerRun(50, func() {
+				if err := e.SignInto(&sig, k, digests[0], rnd); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Fatalf("ConstTime %v, window %v: engine SignInto allocates %v/op, want 0", k.ConstTime, e.cfg.BatchWindow, avg)
+			}
 		}
 	}
 }

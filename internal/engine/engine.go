@@ -91,17 +91,20 @@ type Config struct {
 	// Queue is the request channel depth. Defaults to
 	// 2 · MaxBatch · Workers; clamped to [1, QueueLimit].
 	Queue int
-	// BatchWindow is a fixed deadline on a non-full batch: the worker
-	// holds the batch open until it reaches MaxBatch OR the window,
-	// started when the batch opens, expires. Zero (the default) keeps
-	// the greedy drain — take whatever is already queued and run
-	// immediately, so light load sees batch-of-one latency. A serving
-	// front end that wants real batches at moderate arrival rates sets
-	// a small window (hundreds of microseconds), and then every batch
-	// that does not fill waits the whole window. On an idle process
-	// that is longer than asked: Go rounds timer waits below a
-	// millisecond up to about one (time.Sleep(200µs) returns after
-	// ~1.06 ms), so a 200 µs window costs a lone request ~1 ms.
+	// BatchWindow bounds how long a batch keeps collecting. Zero (the
+	// default) keeps the greedy drain: take whatever is already queued
+	// and run at once. A positive window adds a collect after that
+	// drain: the worker yields (runtime.Gosched, then sched_yield on
+	// Linux if nothing came) so that submitters ready to run can queue
+	// their requests, drains again, and repeats until a quiet gap
+	// passes with no new request, the batch reaches MaxBatch or
+	// BatchWindow has passed since the batch opened. The gap is the
+	// longer of 20 µs and the worker's previous batch run time per
+	// request. Nothing sleeps or arms a timer: a lone request runs
+	// after that gap whatever the window, and the window matters only
+	// while submitters keep arriving, where it caps the first request's
+	// wait for the rest of its batch. A serving front end sets hundreds
+	// of microseconds.
 	BatchWindow time.Duration
 	// OnBatch, when non-nil, observes every processed batch with its
 	// size, after the kernel ran and before the batch's requests
@@ -207,58 +210,43 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
+// collectQuiet is the shortest quiet gap that closes a collecting
+// batch. The gap is the longer of this and the worker's previous batch
+// run time per request, so it grows with whatever slows the process
+// down (the race detector slows submitters and kernels alike) but not
+// with the batch size.
+const collectQuiet = 20 * time.Microsecond
+
 // worker drains the request channel into batches: block for the first
 // request, then greedily take whatever else is already queued (up to
-// MaxBatch) without waiting. When a BatchWindow is configured and the
-// greedy drain left the batch short of MaxBatch, the worker keeps the
-// batch open for up to the window so batches can form at moderate
-// arrival rates; the batch closes on size or deadline, whichever
-// comes first.
+// MaxBatch). With a BatchWindow configured it then collects (see
+// collect) before running the batch.
+//
+// The yield is what forms batches: a submit that wakes the blocked
+// worker puts it in the submitting P's runnext slot, ahead of request
+// goroutines that are already runnable, so the greedy drain sees one
+// request; the yield moves the worker behind them. One yield is not
+// enough with more than one P: the submitters of a burst may run one
+// after another on another P, and closing on the first yield that
+// brought nothing split a burst of six into six batches in about one
+// try in a hundred at two Ps. Hence the quiet gap.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	s := newBatchScratch()
 	batch := make([]*request, 0, e.cfg.MaxBatch)
-	var timer *time.Timer
+	var perOp time.Duration // the last batch's run time per request
 	for {
 		r, ok := <-e.reqs
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], r)
-		open := true
-	greedy:
-		for len(batch) < e.cfg.MaxBatch {
-			select {
-			case r, ok := <-e.reqs:
-				if !ok {
-					open = false
-					break greedy
-				}
-				batch = append(batch, r)
-			default:
-				break greedy
-			}
+		batch, ok = e.drain(append(batch[:0], r))
+		if ok && e.cfg.BatchWindow > 0 {
+			batch = e.collect(batch, max(collectQuiet, perOp))
 		}
-		if open && e.cfg.BatchWindow > 0 && len(batch) < e.cfg.MaxBatch {
-			// Deadline-bounded collect: the window opens when the batch
-			// does, so a submitter waits at most ~BatchWindow beyond its
-			// own processing time.
-			timer = resetWindowTimer(timer, e.cfg.BatchWindow)
-		window:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case r, ok := <-e.reqs:
-					if !ok {
-						break window
-					}
-					batch = append(batch, r)
-				case <-timer.C:
-					break window
-				}
-			}
-			timer.Stop()
-		}
+		start := time.Now()
 		s = e.runBatch(s, batch)
+		perOp = time.Since(start) / time.Duration(len(batch))
 		if e.cfg.OnBatch != nil {
 			e.cfg.OnBatch(len(batch))
 		}
@@ -268,27 +256,51 @@ func (e *Engine) worker() {
 	}
 }
 
-// resetWindowTimer arms the batch-window timer, creating it on first
-// use. A previous window can leave a stale tick buffered in timer.C:
-// when the batch fills (or the channel closes) in the same instant the
-// timer fires, the window loop exits without reading the channel and
-// the worker's Stop comes too late to prevent the send. A bare Reset
-// on top of that tick would close the NEXT window immediately — the
-// lone request of a quiet period would stop seeing the configured
-// window and batches would quietly degrade to size one — so the stale
-// tick is drained first.
-func resetWindowTimer(timer *time.Timer, d time.Duration) *time.Timer {
-	if timer == nil {
-		return time.NewTimer(d)
-	}
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
+// collect extends a batch the greedy drain left short of MaxBatch: it
+// yields (runtime.Gosched) and drains again until quiet has passed
+// since the batch last grew, the batch is full, BatchWindow has passed
+// since the collect began, or the request channel is closed. A yield
+// that brings nothing is followed by osYield, so that a thread the
+// kernel queued on this CPU gets to run and submit. The clock is read
+// between yields and never slept on.
+func (e *Engine) collect(batch []*request, quiet time.Duration) []*request {
+	opened := time.Now()
+	last := opened
+	for ok := true; ok && len(batch) < e.cfg.MaxBatch; {
+		runtime.Gosched()
+		n := len(batch)
+		batch, ok = e.drain(batch)
+		now := time.Now()
+		switch {
+		case now.Sub(opened) >= e.cfg.BatchWindow:
+			return batch
+		case len(batch) > n:
+			last = now
+		case now.Sub(last) >= quiet:
+			return batch
 		default:
+			osYield()
 		}
 	}
-	timer.Reset(d)
-	return timer
+	return batch
+}
+
+// drain appends what is already queued to batch, up to MaxBatch,
+// without blocking. It reports false once the request channel is
+// closed.
+func (e *Engine) drain(batch []*request) ([]*request, bool) {
+	for len(batch) < e.cfg.MaxBatch {
+		select {
+		case r, ok := <-e.reqs:
+			if !ok {
+				return batch, false
+			}
+			batch = append(batch, r)
+		default:
+			return batch, true
+		}
+	}
+	return batch, true
 }
 
 // runBatch executes one batch through processBatch, containing any

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,11 +196,11 @@ func TestConfigFillClamp(t *testing.T) {
 	}
 }
 
-// TestBatchWindowFormsBatches checks the deadline-close behaviour: with
-// a window configured and a single worker, submissions arriving while
-// the window is open coalesce into one batch (observed through
-// OnBatch), and a lone request still completes within a bounded wait
-// rather than hanging for a full batch.
+// TestBatchWindowFormsBatches checks the collect: with a window
+// configured and a single worker, concurrent submitters coalesce into
+// fewer batches than requests (observed through OnBatch), and a lone
+// request still completes within a bounded wait rather than hanging
+// for a full batch.
 func TestBatchWindowFormsBatches(t *testing.T) {
 	var batches, ops atomic.Int64
 	e := New(Config{
@@ -214,8 +216,8 @@ func TestBatchWindowFormsBatches(t *testing.T) {
 	defer e.Close()
 	g := ec.Gen()
 
-	// A lone request: must complete (deadline close), not wait for a
-	// full batch that will never form.
+	// A lone request: must complete once the collect goes quiet, not
+	// wait for a full batch that will never form.
 	start := time.Now()
 	if _, err := e.ScalarMult(big.NewInt(3), g); err != nil {
 		t.Fatal(err)
@@ -224,8 +226,8 @@ func TestBatchWindowFormsBatches(t *testing.T) {
 		t.Fatalf("lone request took %v", elapsed)
 	}
 
-	// Several concurrent submitters within one window: fewer batches
-	// than ops means coalescing happened.
+	// Several concurrent submitters: fewer batches than ops means the
+	// collect coalesced them.
 	const G = 6
 	var wg sync.WaitGroup
 	before := batches.Load()
@@ -247,6 +249,154 @@ func TestBatchWindowFormsBatches(t *testing.T) {
 	}
 	if gotBatches >= G {
 		t.Fatalf("window formed no batches: %d batches for %d ops", gotBatches, gotOps)
+	}
+}
+
+// TestBatchWindowLoneRequest pins the light-load half of the collect:
+// a request with nothing else in flight runs once the collect has gone
+// quiet, not after the window. The window is 10 s, so an engine that
+// waited it out fails by an order of magnitude, in both the
+// synchronous and the callback form.
+func TestBatchWindowLoneRequest(t *testing.T) {
+	e := New(Config{MaxBatch: 8, Workers: 1, BatchWindow: 10 * time.Second})
+	defer e.Close()
+	priv := testKey(t, 93)
+	digest := sha256.Sum256([]byte("lone"))
+	rng := rand.New(rand.NewSource(94))
+	for round := 0; round < 3; round++ {
+		start := time.Now()
+		if _, err := e.Sign(priv, digest[:], rng); err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("round %d: lone Sign took %v under a 10s window", round, el)
+		}
+
+		done := make(chan error, 1)
+		start = time.Now()
+		if err := e.SharedSecretAsync(priv, priv.Public, func(_ []byte, err error) { done <- err }); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("round %d: lone SharedSecretAsync took %v under a 10s window", round, el)
+		}
+	}
+}
+
+// TestBatchWindowBoundsCollect pins the collect's clock bound. Four
+// submitters stay ready to run, each spending 4 ms of CPU before every
+// submission, so while they outnumber the Ps a yield of the worker
+// keeps bringing requests. Filling MaxBatch 1024 that way takes
+// seconds; the 5 ms window must close batches long before, so OnBatch
+// keeps firing while the submitters run, and every submitted request
+// completes.
+func TestBatchWindowBoundsCollect(t *testing.T) {
+	var batches atomic.Int64
+	e := New(Config{MaxBatch: 1024, Workers: 1, BatchWindow: 5 * time.Millisecond,
+		OnBatch: func(int) { batches.Add(1) }})
+	defer e.Close()
+	priv := testKey(t, 95)
+
+	var submitted, completed atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for spin := time.Now(); time.Since(spin) < 4*time.Millisecond; {
+				}
+				if err := e.SharedSecretAsync(priv, priv.Public, func(_ []byte, err error) {
+					if err != nil {
+						t.Error(err)
+					}
+					completed.Add(1)
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				submitted.Add(1)
+				runtime.Gosched()
+			}
+		}()
+	}
+
+	const want = 5
+	for deadline := time.Now().Add(time.Second); batches.Load() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	e.Close() // completes every queued request
+	if n := batches.Load(); n < want {
+		t.Fatalf("%d batches closed in 1 s of continuous submission, want >= %d: the window does not bound the collect", n, want)
+	}
+	if s, c := submitted.Load(), completed.Load(); s != c {
+		t.Fatalf("%d requests submitted, %d completed", s, c)
+	}
+}
+
+// TestBatchWindowQuietGapSpansPs pins the quiet gap: requests that
+// arrive closer together than the gap share a batch even though the
+// worker's own yields come back empty, as they do when the submitter
+// runs on another P. Each round the test goroutine submits one request
+// and waits for it, so the worker runs on its P, while a second
+// goroutine, spinning on the other P, submits seven more 5 µs apart.
+// The median of 21 rounds must form at most 2 batches. A collect that
+// closed on the first empty yield forms about 3 a round outside the
+// race detector: the first request, then whatever queued while each
+// batch ran.
+func TestBatchWindowQuietGapSpansPs(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the second submitter needs a P of its own")
+	}
+	var batches atomic.Int64
+	e := New(Config{MaxBatch: 8, Workers: 1, BatchWindow: time.Second,
+		OnBatch: func(int) { batches.Add(1) }})
+	defer e.Close()
+	priv := testKey(t, 97)
+	counts := make([]int, 21)
+	for round := range counts {
+		before := batches.Load()
+		var running, start atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(7)
+		done := func([]byte, error) { wg.Done() }
+		go func() {
+			running.Store(true)
+			for !start.Load() {
+			}
+			for i := 0; i < 7; i++ {
+				for spin := time.Now(); time.Since(spin) < 5*time.Microsecond; {
+				}
+				if err := e.SharedSecretAsync(priv, priv.Public, done); err != nil {
+					t.Error(err)
+					wg.Done()
+				}
+			}
+		}()
+		for !running.Load() {
+			runtime.Gosched()
+		}
+		start.Store(true)
+		if _, err := e.SharedSecret(priv, priv.Public); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		counts[round] = int(batches.Load() - before)
+	}
+	slices.Sort(counts)
+	if med := counts[len(counts)/2]; med > 2 {
+		t.Fatalf("median %d batches for 8 requests 5µs apart (sorted rounds %v), want <= 2", med, counts)
 	}
 }
 

@@ -35,15 +35,14 @@ echo "serve-smoke: building eccserve and eccload"
 $GO build -o "$tmp/eccserve" ./cmd/eccserve
 $GO build -o "$tmp/eccload" ./cmd/eccload
 
-# The serving stack's batching latency rides on the worker's window
-# timer, so the smoke run also executes the batch-window regression
-# tests (stale-tick drain on Reset; the test file pins the legacy
-# asynctimerchan semantics where the bug is reachable). -count=1 so a
-# cached pass can never mask a regression here.
-echo "serve-smoke: batch-window regression tests"
-$GO test ./internal/engine \
-    -run 'TestResetWindowTimerDrainsStaleTick|TestBatchWindowNotPoisonedByStaleTick' \
-    -count=1
+# The serving stack's batching latency rides on the worker's batch
+# collect, so the smoke run also executes the batch-window tests
+# (bursts coalesce, also when submitted from another P; a lone request
+# does not wait out the window; the window bounds a collect that every
+# yield would extend). -count=1 so a cached pass can never mask a
+# regression here.
+echo "serve-smoke: batch-window tests"
+$GO test ./internal/engine -run 'TestBatchWindow' -count=1
 
 "$tmp/eccserve" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
     >"$tmp/server.log" 2>&1 &
